@@ -165,8 +165,9 @@ fn main() -> io::Result<()> {
         runner = runner.without_sweep_kernel();
     }
     // The persistent store warm-starts the run: previously computed cells
-    // become the warm tier of the runner's cache, previously computed
-    // annotations seed the sweep kernel — both before any fan-out.
+    // become the warm tier of the runner's cache before any fan-out;
+    // previously computed annotations are read only if the sweep kernel
+    // misses in its annotation store, which a fully warm run never does.
     let mut store = None;
     if let Some(dir) = opts.store.as_deref() {
         let mut s = RunStore::open(dir, &config, &telemetry);
@@ -176,14 +177,12 @@ fn main() -> io::Result<()> {
             warm.len(),
             dir.display()
         );
-        runner = runner.with_warm_reports(warm);
+        runner = runner
+            .with_warm_reports(warm)
+            .with_warm_annotations(s.annotation_source());
         store = Some(s);
     }
     let ctx = Context::with_backend(config, runner, opts.backend);
-    if let Some(store) = store.as_mut() {
-        let seeded = ctx.runner.seed_annotations(store.load_annotations());
-        println!("store: {seeded} annotation(s) seeded");
-    }
     println!(
         "pipedepth repro — {} instructions/depth after {} warmup, depths {:?}, {} worker(s), \
          {} backend",
@@ -356,6 +355,16 @@ fn main() -> io::Result<()> {
     println!("{arena_line}");
     println!("{kernel_line}");
     println!("{store_line}");
+    if let Some(s) = &store_stats {
+        if s.annotations_read {
+            println!(
+                "store: {} annotation(s) loaded on demand",
+                s.annotations_loaded
+            );
+        } else {
+            println!("store: annotations left unread (no annotation-store miss)");
+        }
+    }
     println!("data written to {}", opts.out_dir.display());
     println!("total time: {:.1?}", manifest.total_wall);
     Ok(())

@@ -240,6 +240,7 @@ mod tests {
                 misses: 7,
                 reports_loaded: 5,
                 annotations_loaded: 2,
+                annotations_read: true,
                 invalid: 0,
                 flushes: 3,
                 records_flushed: 21,

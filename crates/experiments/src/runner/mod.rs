@@ -33,7 +33,7 @@ use crate::sweep::{DepthPoint, RunConfig, WorkloadCurve};
 use pipedepth_core::eval::TieredCache;
 use pipedepth_power::metric;
 use pipedepth_sim::{
-    replay_sweep, AnnotatedTrace, AnnotationKey, AnnotationStore, SimConfig, SimReport,
+    replay_sweep, AnnotatedTrace, AnnotationKey, AnnotationStore, SimConfig, SimReport, WarmSource,
 };
 use pipedepth_telemetry::{Stopwatch, Telemetry, DEFAULT_TIME_BUCKETS_US};
 use pipedepth_trace::{ArenaStats, Instruction, TraceArena, TraceRequest};
@@ -151,6 +151,17 @@ impl Runner {
         if let Some(cache) = self.cache.as_mut() {
             cache.attach_warm(warm);
         }
+        self
+    }
+
+    /// Attaches a one-shot loader of persisted annotations (see
+    /// [`RunStore::annotation_source`](crate::store::RunStore::annotation_source)).
+    /// The annotation store runs it on its first miss, before annotating,
+    /// so a run whose every depth group is served warm never reads the
+    /// namespace. Never runs without the sweep kernel, which is the only
+    /// consumer of annotations.
+    pub fn with_warm_annotations(mut self, source: WarmSource) -> Self {
+        self.annotations.set_warm_source(source);
         self
     }
 

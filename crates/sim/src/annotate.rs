@@ -29,7 +29,8 @@
 //! [`AnnotationStore`] is the content-addressed companion of
 //! [`pipedepth_trace::TraceArena`]: one annotation per distinct
 //! `(stream, cache config, predictor config)`, shared by `Arc`, with
-//! `trace.annotate.*` telemetry counters.
+//! `trace.annotate.*` telemetry counters, and an optional one-shot
+//! [`WarmSource`] of persisted annotations loaded on the first miss.
 
 use crate::cache::Hierarchy;
 use crate::config::{CacheConfig, ConfigError, PredictorConfig};
@@ -258,6 +259,12 @@ impl AnnotationKey {
 
 type Bucket = Vec<(AnnotationKey, Arc<AnnotatedTrace>)>;
 
+/// A one-shot producer of annotations computed by a previous run — the
+/// loader of a persistent store's annotation namespace. An
+/// [`AnnotationStore`] runs it at most once, on its first miss, so a run
+/// that never misses never pays for the load.
+pub type WarmSource = Box<dyn FnOnce() -> Vec<(AnnotationKey, Arc<AnnotatedTrace>)> + Send>;
+
 /// Content-addressed store of annotations, the companion of
 /// [`pipedepth_trace::TraceArena`]: one annotation pass per distinct
 /// `(stream, cache config, predictor config)`, shared by `Arc` thereafter.
@@ -267,9 +274,18 @@ type Bucket = Vec<(AnnotationKey, Arc<AnnotatedTrace>)>;
 /// pre-stage annotations serially before fanning out workers — which also
 /// keeps the `trace.annotate.*` counters deterministic for any thread
 /// count.
-#[derive(Debug, Default)]
+///
+/// A [`WarmSource`] attached with
+/// [`set_warm_source`](Self::set_warm_source) is the store's lazy warm
+/// tier: the first miss runs it (without the buckets lock held), seeds its
+/// entries counter-neutrally and probes again, so every counter equals an
+/// eager [`seed`](Self::seed) followed by the same requests. Lock order is
+/// `warm` before `buckets`; concurrent first misses wait on `warm` for the
+/// one load instead of annotating.
+#[derive(Default)]
 pub struct AnnotationStore {
     buckets: Mutex<BTreeMap<u64, Bucket>>,
+    warm: Mutex<Option<WarmSource>>,
     hits: AtomicU64,
     misses: AtomicU64,
     instructions: AtomicU64,
@@ -278,10 +294,50 @@ pub struct AnnotationStore {
     annotated_counter: Counter,
 }
 
+impl std::fmt::Debug for AnnotationStore {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("AnnotationStore")
+            .field("len", &self.len())
+            .field("stats", &self.stats())
+            .finish_non_exhaustive()
+    }
+}
+
 impl AnnotationStore {
     /// An empty store.
     pub fn new() -> Self {
         AnnotationStore::default()
+    }
+
+    /// Attaches a one-shot warm source, run on the first miss of
+    /// [`get_or_annotate`](Self::get_or_annotate) (replacing any source
+    /// not yet run).
+    pub fn set_warm_source(&mut self, source: WarmSource) {
+        *self
+            .warm
+            .get_mut()
+            .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(source);
+    }
+
+    fn lock_buckets(&self) -> std::sync::MutexGuard<'_, BTreeMap<u64, Bucket>> {
+        self.buckets
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
+    /// Runs the warm source if one is still pending and seeds what it
+    /// returns. The `warm` guard is held across the load so concurrent
+    /// missers wait for it; the buckets lock is taken only per seed.
+    fn load_warm(&self) {
+        let mut warm = self
+            .warm
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        if let Some(source) = warm.take() {
+            for (key, notes) in source() {
+                self.seed(key, notes);
+            }
+        }
     }
 
     /// Connects the store's counters to a telemetry registry:
@@ -316,10 +372,17 @@ impl AnnotationStore {
             predictor,
         };
         let hash = key.hash();
-        let mut buckets = self
-            .buckets
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut buckets = self.lock_buckets();
+        let resident = buckets
+            .get(&hash)
+            .is_some_and(|bucket| bucket.iter().any(|(k, _)| k == &key));
+        if !resident {
+            // A miss: run the warm source if it is still pending, with
+            // the buckets lock released (it reads files), then probe again.
+            drop(buckets);
+            self.load_warm();
+            buckets = self.lock_buckets();
+        }
         let bucket = buckets.entry(hash).or_default();
         if let Some((_, notes)) = bucket.iter().find(|(k, _)| k == &key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
@@ -342,11 +405,7 @@ impl AnnotationStore {
     /// deterministic bucket-hash order — the export path for a
     /// persistent store. Does not touch the service counters.
     pub fn export(&self) -> Vec<(AnnotationKey, Arc<AnnotatedTrace>)> {
-        let buckets = self
-            .buckets
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        buckets
+        self.lock_buckets()
             .values()
             .flat_map(|bucket| bucket.iter().map(|(key, notes)| (*key, Arc::clone(notes))))
             .collect()
@@ -359,10 +418,7 @@ impl AnnotationStore {
     /// (false when an equal key was already resident).
     pub fn seed(&self, key: AnnotationKey, notes: Arc<AnnotatedTrace>) -> bool {
         let hash = key.hash();
-        let mut buckets = self
-            .buckets
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut buckets = self.lock_buckets();
         let bucket = buckets.entry(hash).or_default();
         if bucket.iter().any(|(k, _)| k == &key) {
             return false;
@@ -373,12 +429,7 @@ impl AnnotationStore {
 
     /// Number of distinct annotations resident.
     pub fn len(&self) -> usize {
-        self.buckets
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .values()
-            .map(Vec::len)
-            .sum()
+        self.lock_buckets().values().map(Vec::len).sum()
     }
 
     /// True when nothing has been annotated yet.
@@ -486,6 +537,125 @@ mod tests {
             .expect("valid config");
         assert_eq!(store.len(), 2);
         assert!(!store.is_empty());
+    }
+
+    /// Persisted annotations of streams 1 and 2 (same content under two
+    /// keys), as a warm source would return them.
+    fn warm_entries(
+        trace: &[Instruction],
+        cfg: &SimConfig,
+    ) -> Vec<(AnnotationKey, Arc<AnnotatedTrace>)> {
+        let notes = Arc::new(annotate(trace, cfg.cache, cfg.predictor).expect("valid config"));
+        [1, 2]
+            .into_iter()
+            .map(|trace_key| {
+                let key = AnnotationKey {
+                    trace_key,
+                    len: trace.len(),
+                    cache: cfg.cache,
+                    predictor: cfg.predictor,
+                };
+                (key, Arc::clone(&notes))
+            })
+            .collect()
+    }
+
+    /// A warm source returning `entries` that counts its runs.
+    fn counting_source(
+        entries: Vec<(AnnotationKey, Arc<AnnotatedTrace>)>,
+        runs: &Arc<AtomicU64>,
+    ) -> WarmSource {
+        let runs = Arc::clone(runs);
+        Box::new(move || {
+            runs.fetch_add(1, Ordering::SeqCst);
+            entries
+        })
+    }
+
+    #[test]
+    fn warm_source_runs_on_first_miss_only() {
+        let trace = sample_trace(800);
+        let cfg = SimConfig::paper(8);
+        let entries = warm_entries(&trace, &cfg);
+        let runs = Arc::new(AtomicU64::new(0));
+        let mut store = AnnotationStore::new();
+        store.seed(entries[0].0, Arc::clone(&entries[0].1));
+        store.set_warm_source(counting_source(entries, &runs));
+        let request = |trace_key| {
+            store
+                .get_or_annotate(trace_key, &trace, cfg.cache, cfg.predictor)
+                .expect("valid config");
+            runs.load(Ordering::SeqCst)
+        };
+        assert_eq!(request(1), 0, "a resident hit never loads");
+        assert_eq!(request(2), 1, "the first miss loads, then hits");
+        assert_eq!(request(3), 1, "a later miss annotates without reloading");
+        let stats = store.stats();
+        assert_eq!((stats.hits, stats.misses), (2, 1));
+        assert_eq!(stats.instructions_annotated, 800);
+    }
+
+    #[test]
+    fn warm_source_counters_equal_eager_seeding() {
+        let trace = sample_trace(800);
+        let cfg = SimConfig::paper(8);
+        let eager = AnnotationStore::new();
+        for (key, notes) in warm_entries(&trace, &cfg) {
+            assert!(eager.seed(key, notes));
+        }
+        let mut lazy = AnnotationStore::new();
+        let runs = Arc::new(AtomicU64::new(0));
+        lazy.set_warm_source(counting_source(warm_entries(&trace, &cfg), &runs));
+        // Stream 3 is not persisted: the lazy store's first request
+        // misses, loads, and still has to annotate it.
+        for store in [&eager, &lazy] {
+            for trace_key in [3, 1, 3, 2, 1] {
+                store
+                    .get_or_annotate(trace_key, &trace, cfg.cache, cfg.predictor)
+                    .expect("valid config");
+            }
+        }
+        assert_eq!(runs.load(Ordering::SeqCst), 1);
+        assert_eq!(lazy.stats(), eager.stats());
+        assert_eq!((lazy.stats().hits, lazy.stats().misses), (4, 1));
+        let keys = |s: &AnnotationStore| s.export().into_iter().map(|(k, _)| k).collect::<Vec<_>>();
+        assert_eq!(keys(&lazy), keys(&eager));
+    }
+
+    #[test]
+    fn concurrent_first_misses_share_one_warm_load() {
+        const THREADS: usize = 4;
+        let trace = sample_trace(800);
+        let cfg = SimConfig::paper(8);
+        let runs = Arc::new(AtomicU64::new(0));
+        // Each thread announces itself just before its request, and the
+        // load stays open until every thread has: the others reach the
+        // store while the load is in flight.
+        let entered = Arc::new(AtomicU64::new(0));
+        let load = counting_source(warm_entries(&trace, &cfg), &runs);
+        let announced = Arc::clone(&entered);
+        let mut store = AnnotationStore::new();
+        store.set_warm_source(Box::new(move || {
+            while announced.load(Ordering::SeqCst) < THREADS as u64 {
+                std::thread::yield_now();
+            }
+            load()
+        }));
+        std::thread::scope(|scope| {
+            for i in 0..THREADS {
+                let (store, trace, entered) = (&store, &trace, &entered);
+                scope.spawn(move || {
+                    entered.fetch_add(1, Ordering::SeqCst);
+                    store
+                        .get_or_annotate(1 + (i % 2) as u64, trace, cfg.cache, cfg.predictor)
+                        .expect("valid config");
+                });
+            }
+        });
+        assert_eq!(runs.load(Ordering::SeqCst), 1, "the source runs once");
+        // Every thread waited for the load instead of annotating.
+        let stats = store.stats();
+        assert_eq!((stats.hits, stats.misses), (THREADS as u64, 0));
     }
 
     #[cfg(feature = "telemetry")]

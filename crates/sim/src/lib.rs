@@ -60,10 +60,11 @@ pub mod report;
 /// The explicit stage units the engine is composed of.
 pub mod stage;
 
-/// The annotate-once surface: the SoA annotation, the one-pass classifier
-/// and the content-addressed store.
+/// The annotate-once surface: the SoA annotation, the one-pass classifier,
+/// the content-addressed store and its one-shot warm source.
 pub use annotate::{
-    annotate, annotation_fingerprint, AnnotateStats, AnnotatedTrace, AnnotationKey, AnnotationStore,
+    annotate, annotation_fingerprint, AnnotateStats, AnnotatedTrace, AnnotationKey,
+    AnnotationStore, WarmSource,
 };
 /// Configuration surface: `SimConfig`, its builder, and the plan types.
 pub use config::{
