@@ -86,10 +86,17 @@ fn bench_engine_paths(c: &mut Criterion) {
 }
 
 /// Cost of materialising a stream into the arena (the once-per-workload
-/// price the arena amortises) versus looking a resident one up.
+/// price the arena amortises) versus looking a resident one up. A lookup
+/// processes no instructions, so it reports no element rate: it runs
+/// before the group's throughput is set.
 fn bench_trace_materialization(c: &mut Criterion) {
     let mut group = c.benchmark_group("trace_materialization");
     const N: u64 = 100_000;
+    group.bench_function("arena_lookup", |b| {
+        let arena = TraceArena::new();
+        arena.get_or_generate(WorkloadModel::modern_like(), 7, N);
+        b.iter(|| black_box(arena.get_or_generate(WorkloadModel::modern_like(), 7, N)))
+    });
     group.throughput(Throughput::Elements(N));
     group.bench_function("arena_fill", |b| {
         let mut seed = 0u64;
@@ -99,11 +106,6 @@ fn bench_trace_materialization(c: &mut Criterion) {
             let arena = TraceArena::new();
             black_box(arena.get_or_generate(WorkloadModel::modern_like(), seed, N))
         })
-    });
-    group.bench_function("arena_lookup", |b| {
-        let arena = TraceArena::new();
-        arena.get_or_generate(WorkloadModel::modern_like(), 7, N);
-        b.iter(|| black_box(arena.get_or_generate(WorkloadModel::modern_like(), 7, N)))
     });
     group.finish();
 }
@@ -149,9 +151,11 @@ fn bench_annotate_vs_full(c: &mut Criterion) {
     group.finish();
 }
 
-/// Batched multi-depth replay: one annotation walk advancing 1/4/8/16
-/// depth lanes. Per-lane cost should fall as lanes amortise the
-/// annotation walk, and even lanes = 1 must beat a full engine pass.
+/// Batched multi-depth replay at the group sizes that run in practice:
+/// 1 and 3 lanes (the service's small groups, blocks of 1 and 2+1), 8 (one
+/// full lane block) and 24 (the repro sweep, three blocks). The element
+/// rate counts lane-instructions, so per-lane cost reads off directly;
+/// even lanes = 1 must beat a full engine pass.
 fn bench_sweep_kernel_scaling(c: &mut Criterion) {
     let mut group = c.benchmark_group("sweep_kernel_scaling");
     const N: u64 = 50_000;
@@ -159,7 +163,7 @@ fn bench_sweep_kernel_scaling(c: &mut Criterion) {
     let trace = arena.get_or_generate(WorkloadModel::spec_int_like(), 1, N);
     let base = SimConfig::paper(2);
     let notes = annotate(&trace, base.cache, base.predictor).expect("valid configuration");
-    for lanes in [1usize, 4, 8, 16] {
+    for lanes in [1usize, 3, 8, 24] {
         // Per-lane throughput: N instructions advanced through each lane.
         group.throughput(Throughput::Elements(N * lanes as u64));
         let configs: Vec<SimConfig> = (0..lanes)

@@ -551,8 +551,9 @@ impl Runner {
         )
         // analysis: allow(panic-path) — the same configurations construct
         // engines on the per-cell path; annotation already validated the
-        // cache and predictor, and the planner only groups engine-legal
-        // cells
+        // cache and predictor, the planner only groups engine-legal cells,
+        // and no caller sets the absurd miss latencies that could leave
+        // the kernel's cycle range
         .expect("sweep-kernel lanes share the engine's validated configs");
         if self.telemetry.is_enabled() {
             let wait_us = queued_at.elapsed_us();
@@ -570,6 +571,15 @@ impl Runner {
             self.telemetry
                 .counter("runner.sweep_kernel.cells")
                 .add(members.len() as u64);
+            // Exact replay work: every lane steps through the warmup and
+            // the measured window, clamped to the annotated stream.
+            let replayed = lead
+                .warmup
+                .saturating_add(lead.instructions)
+                .min(annotation.len() as u64);
+            self.telemetry
+                .counter("runner.sweep_kernel.lane_instructions")
+                .add(members.len() as u64 * replayed);
             self.telemetry
                 .counter("runner.worker_busy_us")
                 .add(busy_us as u64);
@@ -914,6 +924,10 @@ mod tests {
             snap.counter("runner.sweep_kernel.cells"),
             (ws.len() * cfg.depths.len()) as u64
         );
+        assert_eq!(
+            snap.counter("runner.sweep_kernel.lane_instructions"),
+            (ws.len() * cfg.depths.len()) as u64 * (cfg.warmup + cfg.instructions)
+        );
         // One annotation pass per workload stream, reused by every lane.
         assert_eq!(snap.counter("trace.annotate.misses"), ws.len() as u64);
         assert_eq!(snap.counter("trace.annotate.hits"), 0);
@@ -939,6 +953,7 @@ mod tests {
         let snap = telemetry.snapshot();
         assert_eq!(snap.counter("runner.sweep_kernel.groups"), 0);
         assert_eq!(snap.counter("runner.sweep_kernel.cells"), 0);
+        assert_eq!(snap.counter("runner.sweep_kernel.lane_instructions"), 0);
 
         let telemetry = Telemetry::new();
         let runner = Runner::serial()

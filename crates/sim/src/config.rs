@@ -76,6 +76,14 @@ pub enum ConfigError {
         /// The rejected history length.
         history_bits: u32,
     },
+    /// A replay whose cycle counts could leave the replay kernel's
+    /// 60-bit range (only reachable with absurd miss latencies).
+    CycleRange {
+        /// Instructions to replay.
+        instructions: u64,
+        /// Worst-case cycles one instruction can add.
+        cycles_per_instruction: u64,
+    },
 }
 
 impl fmt::Display for ConfigError {
@@ -118,6 +126,16 @@ impl fmt::Display for ConfigError {
                 write!(
                     f,
                     "predictor history of {history_bits} branches exceeds the supported 32"
+                )
+            }
+            ConfigError::CycleRange {
+                instructions,
+                cycles_per_instruction,
+            } => {
+                write!(
+                    f,
+                    "{instructions} instructions at up to {cycles_per_instruction} cycles each \
+                     could exceed the replay kernel's 2^60-cycle range"
                 )
             }
         }

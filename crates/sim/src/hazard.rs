@@ -60,6 +60,18 @@ impl HazardStats {
         Self::default()
     }
 
+    /// Statistics from per-kind totals, in [`HazardKind::ALL`] order (the
+    /// replay kernel accumulates its lanes' episodes in bulk).
+    pub(crate) fn from_counts(
+        events: [u64; HazardKind::ALL.len()],
+        stall_cycles: [u64; HazardKind::ALL.len()],
+    ) -> Self {
+        HazardStats {
+            events,
+            stall_cycles,
+        }
+    }
+
     /// Records one hazard episode of `kind` stalling for `cycles`.
     ///
     /// Zero-cycle episodes are ignored — a constraint that did not delay

@@ -1,366 +1,598 @@
-//! The replay pass: a tight per-depth timing kernel over an
-//! [`AnnotatedTrace`], batched across depth lanes.
+//! The replay pass: a per-depth timing kernel over an [`AnnotatedTrace`],
+//! batched across depth lanes in struct-of-arrays lane blocks.
 //!
 //! With fetch classes, data-access classes and branch outcomes resolved
-//! once by [`crate::annotate()`], what remains per depth is pure interval
-//! timing: port acquisitions, stage-latency arithmetic, the scoreboard,
-//! and hazard attribution. [`replay_sweep`] walks the annotation **once**,
-//! decoding each instruction's note a single time and advancing every
-//! depth lane through it before moving on — so a whole sweep costs one
-//! linear pass over the annotation's struct-of-arrays columns instead of
-//! D independent engine passes, each re-running the cache and predictor
-//! models.
+//! once by [`crate::annotate()`], what remains per depth is interval
+//! timing: port grants, stage-latency arithmetic, the scoreboard, the
+//! decoupling window, and the attribution of data-side and control
+//! stalls. [`replay_sweep`] splits its lanes into power-of-two **lane
+//! blocks** of 8, 4, 2 or 1 lanes (24 = 8+8+8, 3 = 2+1; never padded). In
+//! a block every per-lane field is a `[u64; W]` array. Each block walks
+//! the annotation once. It decodes an instruction's note and dispatches on
+//! its [`OpClass`](pipedepth_trace::isa::OpClass) once per block, into a
+//! const-generic step whose inner loop runs over the lanes. Lanes are the
+//! inner loop on purpose: pushing one lane through many instructions would
+//! chain every step on that lane's own latency. Where lanes can disagree
+//! (port grants, the scoreboard's source pick, the hazard kind,
+//! forwarding, stall-on-use) the step chooses with
+//! [`std::hint::select_unpredictable`] instead of branching, so a lane's
+//! cycles never steer control flow.
 //!
-//! Each `Lane` is the timing-only residue of one [`crate::Engine`]:
-//! four ports, the issue ring, a flat 32-slot scoreboard and a handful of
-//! scalars (≈ half a kilobyte), so a full 24-lane sweep's mutable state
-//! stays cache-resident while the annotation streams through. Exactness is
-//! the contract: every port acquisition and every hazard record happens in
-//! the precise order of the stage engine, and the differential suite
-//! (`sim/tests/replay_equivalence.rs`) pins the resulting [`SimReport`]s
-//! bit-identical to [`crate::Engine`]'s.
+//! Work that depends only on the annotation leaves the per-lane step. One
+//! pass over the measured window counts fetch and data accesses by level,
+//! branches, mispredicts and serialising operations (`WindowCounts`).
+//! When the report is built, each lane's latency tables turn those counts
+//! into its cache rates, unit activity, fetch-stall and memory-wait cycles
+//! and fetch-side memory hazards. State that only repeats a port's cycle
+//! is not kept: a port's cycle *is* the lane's last decode, issue or retire
+//! cycle, and the retire cycle is the finish cycle. A register's
+//! scoreboard entry is one word, its ready cycle above the writer's tag
+//! bits, so the source pick is two maxima. [`replay_sweep`] rejects the
+//! (absurd-latency) runs whose cycles could overflow that word.
+//!
+//! Exactness is the contract. The differential suite
+//! (`sim/tests/replay_equivalence.rs`) pins every [`SimReport`]
+//! bit-identical to a fresh [`crate::Engine`]'s, across every block split.
 
 use crate::annotate::{AnnotatedTrace, FLAG_MEM, FLAG_SERIAL, NO_REG};
 use crate::config::{ConfigError, IssuePolicy, SimConfig, StagePlan, Unit};
 use crate::engine::metric_names;
 use crate::hazard::{HazardKind, HazardStats};
 use crate::report::SimReport;
-use crate::stage::{IssueRing, Port, Tables, WriterKind, REG_SLOTS};
+use crate::stage::{Tables, REG_SLOTS};
 use pipedepth_telemetry::Telemetry;
 use pipedepth_trace::isa::OpClass;
+use std::hint::select_unpredictable;
+use std::ops::Range;
 
-/// One instruction's note, decoded from the annotation columns once per
-/// position and shared by every lane.
+/// Operation classes as const-generic step parameters.
+const ALU_RR: usize = OpClass::AluRr as usize;
+const ALU_RX: usize = OpClass::AluRx as usize;
+const LOAD: usize = OpClass::Load as usize;
+const STORE: usize = OpClass::Store as usize;
+const BRANCH: usize = OpClass::Branch as usize;
+const FP: usize = OpClass::Fp as usize;
+const FP_LONG: usize = OpClass::FpLong as usize;
+
+/// Scoreboard words. A register's entry holds its ready cycle above four
+/// tag bits: `TAG_MISS` marks a writer delayed by a cache miss, `TAG_FP` a
+/// multi-cycle FP writer. A source read adds its position rank in bits
+/// 1–2, so the larger of the two source words is exactly the engine's
+/// pick: the later ready cycle, a miss winning a tie, then the first
+/// source. The engine's implicit start ("ready at cycle 0, ordinary
+/// writer") needs no word: a miss still wins a tie at cycle 0, and a
+/// source ready at cycle 0 never stalls anything, so its other tag is moot.
+const TAG_BITS: u32 = 4;
+const TAG_MISS: u64 = 0b1000;
+const TAG_FP: u64 = 0b0001;
+const SOURCE_RANK: [u64; 2] = [0b0100, 0b0010];
+/// The largest cycle a scoreboard word can hold.
+const MAX_CYCLE: u64 = u64::MAX >> TAG_BITS;
+/// Port slips (grants pushed one cycle on) and redirects one instruction
+/// can add on top of its latencies, rounded up.
+const SLIP_CYCLES: u64 = 8;
+
+/// Hazard buckets of a lane block: the [`HazardKind`] discriminants, plus
+/// a sink for stalls the engine leaves unattributed (waits on the FP unit).
+const CONTROL: usize = HazardKind::Control as usize;
+const DATA: usize = HazardKind::Data as usize;
+const MEMORY: usize = HazardKind::Memory as usize;
+const STRUCTURAL: usize = HazardKind::Structural as usize;
+const UNATTRIBUTED: usize = HazardKind::ALL.len();
+
+/// Scoreboard rows: the flat register slots, then a row that absent
+/// sources read (never written, so it stays ready at cycle 0 with a
+/// normal writer), then a row that absent destinations write (never read).
+const ABSENT_SRC: usize = REG_SLOTS;
+const ABSENT_DST: usize = REG_SLOTS + 1;
+const ROWS: usize = REG_SLOTS + 2;
+
+/// The widest lane block.
+const MAX_BLOCK: usize = 8;
+
+/// One instruction's lane-uniform fields, decoded from the annotation
+/// columns once per block.
 #[derive(Debug, Clone, Copy)]
 struct Note {
-    class: OpClass,
-    is_mem: bool,
-    is_fp: bool,
     has_mem: bool,
     serial: bool,
-    dst: u8,
-    src: [u8; 2],
-    fetch: u8,
-    data: u8,
-    branch: u8,
+    mispredict: bool,
+    dst: usize,
+    src: [usize; 2],
+    /// Fetch access level (0 = no counted fetch), a penalty-table row.
+    fetch: usize,
+    /// Data access level (0 = no memory operand), a penalty-table row.
+    data: usize,
 }
 
 impl AnnotatedTrace {
-    #[inline]
+    #[inline(always)]
     fn note(&self, i: usize) -> Note {
-        let class = OpClass::ALL[self.classes[i] as usize];
+        let row = |slot: u8, absent: usize| {
+            if slot == NO_REG {
+                absent
+            } else {
+                slot as usize
+            }
+        };
         let flags = self.flags[i];
+        let [a, b] = self.src[i];
         Note {
-            class,
-            is_mem: class.is_memory(),
-            is_fp: class.is_fp(),
             has_mem: flags & FLAG_MEM != 0,
             serial: flags & FLAG_SERIAL != 0,
-            dst: self.dst[i],
-            src: self.src[i],
-            fetch: self.fetch[i],
-            data: self.data[i],
-            branch: self.branch[i],
+            mispredict: self.branch[i] == 2,
+            dst: row(self.dst[i], ABSENT_DST),
+            src: [row(a, ABSENT_SRC), row(b, ABSENT_SRC)],
+            fetch: self.fetch[i] as usize,
+            data: self.data[i] as usize,
         }
     }
 }
 
-/// The timing-only state of one depth configuration: the residue of an
-/// [`crate::Engine`] once the cache arrays, predictor table and trace
-/// decoding are factored out into the annotation.
-#[derive(Debug, Clone)]
-struct Lane {
+/// `a.max(b)` as a select: the lanes' cycles are data, and must not steer
+/// control flow.
+#[inline(always)]
+fn max(a: u64, b: u64) -> u64 {
+    select_unpredictable(a > b, a, b)
+}
+
+/// `a.min(b)` as a select (see [`max`]).
+#[inline(always)]
+fn min(a: u64, b: u64) -> u64 {
+    select_unpredictable(a < b, a, b)
+}
+
+/// One validated lane: its configuration and the latency tables derived
+/// from it.
+#[derive(Debug, Clone, Copy)]
+struct LaneConfig {
     config: SimConfig,
     plan: StagePlan,
     tables: Tables,
-    in_order: bool,
-    forwarding: bool,
-    stall_on_use: bool,
-
-    // Front end.
-    decode_port: Port,
-    redirect_at: u64,
-    last_decode: u64,
-    // Scoreboard.
-    reg_ready: [u64; REG_SLOTS],
-    reg_writer: [WriterKind; REG_SLOTS],
-    // Issue.
-    issue_port: Port,
-    ring: IssueRing,
-    last_issue: u64,
-    last_issue_cycle_seen: Option<u64>,
-    // Exec core.
-    cache_port: Port,
-    retire_port: Port,
-    fp_busy_until: u64,
-    last_retire: u64,
-    finish_cycle: u64,
-
-    // Window statistics (zeroed at the warmup boundary).
-    stats_base_cycle: u64,
-    instructions: u64,
-    activity: [u64; Unit::ALL.len()],
-    hazards: HazardStats,
-    memory_wait: u64,
-    fetch_stall_cycles: u64,
-    branches: u64,
-    mispredicts: u64,
-    serialized: u64,
-    distinct: u64,
-    /// `(accesses, misses)` for the l1d, l1i, l2 levels.
-    cache: [(u64, u64); 3],
 }
 
-impl Lane {
-    fn new(config: SimConfig) -> Result<Lane, ConfigError> {
+impl LaneConfig {
+    fn new(config: SimConfig) -> Result<LaneConfig, ConfigError> {
         config.validate()?;
         let plan = StagePlan::try_for_depth(config.depth)?;
         let tables = Tables::new(&config, &plan);
-        Ok(Lane {
-            in_order: match config.features.issue {
-                IssuePolicy::InOrder => true,
-                IssuePolicy::OutOfOrder => false,
-            },
-            forwarding: config.features.forwarding,
-            stall_on_use: config.features.stall_on_use,
-            decode_port: Port::new(config.width),
-            redirect_at: 0,
-            last_decode: 0,
-            reg_ready: [0; REG_SLOTS],
-            reg_writer: [WriterKind::Normal; REG_SLOTS],
-            issue_port: Port::new(config.width),
-            ring: IssueRing::new(tables.queue_capacity),
-            last_issue: 0,
-            last_issue_cycle_seen: None,
-            cache_port: Port::new(config.cache_ports),
-            retire_port: Port::new(config.width),
-            fp_busy_until: 0,
-            last_retire: 0,
-            finish_cycle: 0,
-            stats_base_cycle: 0,
-            instructions: 0,
-            activity: [0; Unit::ALL.len()],
-            hazards: HazardStats::new(),
-            memory_wait: 0,
-            fetch_stall_cycles: 0,
-            branches: 0,
-            mispredicts: 0,
-            serialized: 0,
-            distinct: 0,
-            cache: [(0, 0); 3],
+        Ok(LaneConfig {
             config,
             plan,
             tables,
         })
     }
 
-    /// Advances this lane through one annotated instruction, in exactly
-    /// the stage engine's operation order.
-    fn step(&mut self, n: &Note) {
-        let tables = self.tables;
+    /// Miss penalty in cycles of an access at annotation level `level`
+    /// (1 = L1, 2 = L2, 3 = memory).
+    fn penalty(&self, level: usize) -> u64 {
+        self.tables.miss_penalty[level - 1]
+    }
 
-        // ---- Front end: fetch + decode --------------------------------
-        let queue_floor = self.ring.floor();
-        let mut decode_req = self.last_decode.max(self.redirect_at).max(queue_floor);
-        if n.fetch != 0 {
-            self.cache[1].0 += 1;
-            if n.fetch >= 2 {
-                self.cache[1].1 += 1;
-                self.cache[2].0 += 1;
-            }
-            if n.fetch == 3 {
-                self.cache[2].1 += 1;
-            }
-            let fetch_extra = tables.miss_penalty[(n.fetch - 1) as usize];
-            if fetch_extra > 0 {
-                self.hazards
-                    .record(HazardKind::Memory, fetch_extra.min(tables.hazard_cap));
-                self.memory_wait += fetch_extra;
-                self.fetch_stall_cycles += fetch_extra;
-                decode_req += fetch_extra;
-            }
+    /// Rejects a replay of `instructions` whose cycles could outgrow a
+    /// scoreboard word. One instruction moves a lane's latest cycle on by
+    /// at most its stage latencies, one fetch and one data penalty and a
+    /// few port slips.
+    fn check_cycle_range(&self, instructions: u64) -> Result<(), ConfigError> {
+        let t = &self.tables;
+        let penalty = t.miss_penalty.iter().copied().max().unwrap_or(0);
+        let extra = t.exec_extra.iter().copied().max().unwrap_or(0);
+        let per_instruction = [
+            t.decode, t.agen, t.cache, t.execute, extra, t.complete, penalty, penalty,
+        ]
+        .iter()
+        .try_fold(SLIP_CYCLES, |sum, &cycles| sum.checked_add(cycles));
+        match per_instruction.and_then(|step| step.checked_mul(instructions)) {
+            Some(bound) if bound <= MAX_CYCLE => Ok(()),
+            _ => Err(ConfigError::CycleRange {
+                instructions,
+                cycles_per_instruction: per_instruction.unwrap_or(u64::MAX),
+            }),
         }
-        let decode_cycle = self.decode_port.acquire(decode_req);
-        self.last_decode = decode_cycle;
-        let decode_done = decode_cycle + tables.decode;
+    }
+}
 
-        // ---- Scoreboard: source readiness -----------------------------
-        let mut src_ready = 0u64;
-        let mut src_writer = WriterKind::Normal;
-        for &s in &n.src {
-            if s == NO_REG {
-                continue;
-            }
-            let slot = s as usize;
-            let at = self.reg_ready[slot];
-            if at > src_ready {
-                src_ready = at;
-                src_writer = self.reg_writer[slot];
-            } else if at == src_ready && self.reg_writer[slot] == WriterKind::Miss {
-                src_writer = WriterKind::Miss;
-            }
-        }
+/// The lane-uniform statistics of a measured window: every event whose
+/// count depends only on the annotation.
+#[derive(Debug, Clone, Copy, Default)]
+struct WindowCounts {
+    instructions: u64,
+    /// Instructions by fetch level (index 0: no counted fetch).
+    fetch: [u64; 4],
+    /// Memory operands by data-access level.
+    data: [u64; 4],
+    /// Memory operands of non-store classes by level: the accesses whose
+    /// miss penalty an instruction waits on.
+    data_waits: [u64; 4],
+    branches: u64,
+    mispredicts: u64,
+    serialized: u64,
+}
 
-        // ---- RX address/cache segment ---------------------------------
-        let mut data_ready = decode_done;
-        let mut pipe_ready = decode_done;
-        let mut miss_extra = 0u64;
-        if n.has_mem {
-            let agen_done = decode_done.max(src_ready) + tables.agen;
-            self.cache[0].0 += 1;
-            if n.data >= 2 {
-                self.cache[0].1 += 1;
-                self.cache[2].0 += 1;
-            }
-            if n.data == 3 {
-                self.cache[2].1 += 1;
-            }
-            if n.class == OpClass::Store {
-                data_ready = agen_done;
-                pipe_ready = agen_done;
-            } else {
-                let access_at = self.cache_port.acquire(agen_done);
-                miss_extra = tables.miss_penalty[(n.data - 1) as usize];
-                data_ready = access_at + tables.cache + miss_extra;
-                if n.class == OpClass::Load && self.stall_on_use {
-                    pipe_ready = access_at + tables.cache;
-                } else if n.class == OpClass::Load {
-                    pipe_ready = data_ready;
-                }
-            }
-        }
-        if n.class == OpClass::AluRx {
-            pipe_ready = data_ready;
-        }
-        if n.has_mem {
-            self.activity[Unit::Agen as usize] += tables.agen;
-            self.activity[Unit::Cache as usize] += tables.cache;
-        }
-
-        // ---- Issue to the E-unit (in order, width-limited) ------------
-        let queue_ready = if n.is_mem { pipe_ready } else { decode_done };
-        let fp_ready = if n.is_fp { self.fp_busy_until } else { 0 };
-        let order_floor = if self.in_order { self.last_issue } else { 0 };
-        let mut base = queue_ready.max(src_ready).max(fp_ready).max(order_floor);
-        if n.serial {
-            base = base.max(self.last_issue + 1);
-            self.issue_port.close_cycle();
-            self.serialized += 1;
-        }
-        let prev_issue = self.last_issue;
-        let at = self.issue_port.acquire(base);
-        if n.serial {
-            self.issue_port.close_cycle();
-        }
-        self.last_issue = at;
-        self.ring.push(at);
-        if self.last_issue_cycle_seen != Some(at) {
-            self.distinct += 1;
-            self.last_issue_cycle_seen = Some(at);
-        }
-
-        // ---- Hazard attribution ---------------------------------------
-        let transit = decode_done
-            + if n.is_mem {
-                tables.agen + tables.cache
-            } else {
-                0
-            };
-        let floor = if self.in_order {
-            transit.max(prev_issue)
-        } else {
-            transit
+impl WindowCounts {
+    fn tally(notes: &AnnotatedTrace, window: Range<usize>) -> WindowCounts {
+        let mut w = WindowCounts {
+            instructions: window.len() as u64,
+            ..WindowCounts::default()
         };
-        let own = queue_ready.max(src_ready).max(fp_ready);
-        let stall = own.saturating_sub(floor);
-        if stall > 0 {
-            let gamma_stall = stall.min(tables.hazard_cap);
-            let load_use_blocked = n.class == OpClass::AluRx && miss_extra > 0;
-            let kind = if load_use_blocked || src_writer == WriterKind::Miss {
-                Some(HazardKind::Memory)
-            } else if src_ready > floor {
-                if src_writer == WriterKind::FpUnit {
-                    None
-                } else {
-                    Some(HazardKind::Data)
+        for i in window {
+            w.fetch[notes.fetch[i] as usize] += 1;
+            let flags = notes.flags[i];
+            if flags & FLAG_MEM != 0 {
+                let level = notes.data[i] as usize;
+                w.data[level] += 1;
+                if notes.classes[i] as usize != STORE {
+                    w.data_waits[level] += 1;
                 }
-            } else if fp_ready > floor {
-                None
-            } else {
-                Some(HazardKind::Structural)
-            };
-            if let Some(kind) = kind {
-                self.hazards.record(kind, gamma_stall);
+            }
+            w.serialized += u64::from(flags & FLAG_SERIAL != 0);
+            w.branches += u64::from(notes.branch[i] != 0);
+            w.mispredicts += u64::from(notes.branch[i] == 2);
+        }
+        w
+    }
+
+    /// Memory operands of the window.
+    fn memory_ops(&self) -> u64 {
+        self.data.iter().sum()
+    }
+
+    /// `(accesses, misses)` for the l1d, l1i, l2 levels.
+    fn cache(&self) -> [(u64, u64); 3] {
+        let [_, d1, d2, d3] = self.data;
+        let [_, f1, f2, f3] = self.fetch;
+        [
+            (d1 + d2 + d3, d2 + d3),
+            (f1 + f2 + f3, f2 + f3),
+            (f2 + f3 + d2 + d3, f3 + d3),
+        ]
+    }
+}
+
+/// A lane block's per-lane outcome of the measured window: the figures
+/// that depend on the lane's own timing.
+#[derive(Debug, Clone, Copy)]
+struct LaneTiming {
+    cycles: u64,
+    distinct_issue_cycles: u64,
+    hazard_events: [u64; HazardKind::ALL.len()],
+    hazard_cycles: [u64; HazardKind::ALL.len()],
+}
+
+/// `W` in-order ports in struct-of-arrays form.
+#[derive(Debug, Clone)]
+struct Ports<const W: usize> {
+    width: [u64; W],
+    /// Current grant cycle per lane: the last cycle granted.
+    cycle: [u64; W],
+    used: [u64; W],
+}
+
+impl<const W: usize> Ports<W> {
+    fn new(width: [u64; W]) -> Self {
+        Ports {
+            width,
+            cycle: [0; W],
+            used: [0; W],
+        }
+    }
+
+    /// Grants lane `l` a slot at the earliest cycle ≥ `at` consistent
+    /// with its previous grants — [`crate::Port::acquire`] without
+    /// branches.
+    #[inline(always)]
+    fn acquire(&mut self, l: usize, at: u64) -> u64 {
+        let later = at > self.cycle[l];
+        let full = self.used[l] >= self.width[l];
+        let cycle = select_unpredictable(later, at, self.cycle[l] + u64::from(full));
+        self.used[l] = select_unpredictable(later | full, 1, self.used[l] + 1);
+        self.cycle[l] = cycle;
+        cycle
+    }
+
+    /// Exhausts lane `l`'s current cycle (serialising instructions).
+    #[inline(always)]
+    fn close_cycle(&mut self, l: usize) {
+        self.used[l] = self.width[l];
+    }
+}
+
+/// The timing state of `W` depth lanes, one `[u64; W]` array per field.
+#[derive(Debug, Clone)]
+struct Block<const W: usize> {
+    // Lane constants.
+    decode: [u64; W],
+    agen: [u64; W],
+    cache: [u64; W],
+    /// E-unit cycles per operation class.
+    exec_latency: [[u64; W]; OpClass::ALL.len()],
+    complete: [u64; W],
+    /// Miss penalty by access level; row 0 (no access) is zero.
+    penalty: [[u64; W]; 4],
+    hazard_cap: [u64; W],
+    in_order: [bool; W],
+    forwarding: [bool; W],
+    stall_on_use: [bool; W],
+    /// `ring.len() - queue_capacity` per lane: the decoupling floor is the
+    /// ring row `pushes + ring_offset`.
+    ring_offset: [usize; W],
+
+    // Timing state. A port's cycle doubles as the lane's last decode,
+    // issue and retire cycle; the retire cycle is the finish cycle.
+    decode_port: Ports<W>,
+    issue_port: Ports<W>,
+    cache_port: Ports<W>,
+    retire_port: Ports<W>,
+    redirect_at: [u64; W],
+    fp_busy_until: [u64; W],
+    scoreboard: [[u64; W]; ROWS],
+    /// The last issue cycles, zero-initialised: while a lane's window is
+    /// filling, its floor row has never been written and reads 0.
+    ring: Vec<[u64; W]>,
+    ring_mask: usize,
+    pushes: usize,
+
+    // Window statistics.
+    window_start: [u64; W],
+    distinct: [u64; W],
+    hazard_events: [[u64; W]; UNATTRIBUTED + 1],
+    hazard_cycles: [[u64; W]; UNATTRIBUTED + 1],
+}
+
+impl<const W: usize> Block<W> {
+    /// A block over exactly `W` lanes.
+    fn new(lanes: &[LaneConfig]) -> Self {
+        let each =
+            |f: &dyn Fn(&LaneConfig) -> u64| -> [u64; W] { std::array::from_fn(|l| f(&lanes[l])) };
+        let ring_len = lanes
+            .iter()
+            .map(|lane| lane.tables.queue_capacity.next_power_of_two())
+            .max()
+            .unwrap_or(1);
+        Block {
+            decode: each(&|lane| lane.tables.decode),
+            agen: each(&|lane| lane.tables.agen),
+            cache: each(&|lane| lane.tables.cache),
+            exec_latency: std::array::from_fn(|c| {
+                each(&|lane| lane.tables.execute + lane.tables.exec_extra[c])
+            }),
+            complete: each(&|lane| lane.tables.complete),
+            penalty: std::array::from_fn(|level| {
+                each(&|lane| if level == 0 { 0 } else { lane.penalty(level) })
+            }),
+            hazard_cap: each(&|lane| lane.tables.hazard_cap),
+            in_order: std::array::from_fn(|l| {
+                lanes[l].config.features.issue == IssuePolicy::InOrder
+            }),
+            forwarding: std::array::from_fn(|l| lanes[l].config.features.forwarding),
+            stall_on_use: std::array::from_fn(|l| lanes[l].config.features.stall_on_use),
+            ring_offset: std::array::from_fn(|l| ring_len - lanes[l].tables.queue_capacity),
+            decode_port: Ports::new(each(&|lane| u64::from(lane.config.width))),
+            issue_port: Ports::new(each(&|lane| u64::from(lane.config.width))),
+            cache_port: Ports::new(each(&|lane| u64::from(lane.config.cache_ports))),
+            retire_port: Ports::new(each(&|lane| u64::from(lane.config.width))),
+            redirect_at: [0; W],
+            fp_busy_until: [0; W],
+            scoreboard: [[0; W]; ROWS],
+            ring: vec![[0; W]; ring_len],
+            ring_mask: ring_len - 1,
+            pushes: 0,
+            window_start: [0; W],
+            distinct: [0; W],
+            hazard_events: [[0; W]; UNATTRIBUTED + 1],
+            hazard_cycles: [[0; W]; UNATTRIBUTED + 1],
+        }
+    }
+
+    /// Warms the block over `[0, split)`, then times the window
+    /// `[split, split + measured)`.
+    fn run(mut self, notes: &AnnotatedTrace, split: usize, measured: usize) -> [LaneTiming; W] {
+        self.advance(notes, 0..split);
+        self.open_window();
+        if measured > 0 {
+            // The window's first issue always opens a distinct cycle; after
+            // it, a grant is distinct iff it moved the issue port.
+            self.advance(notes, split..split + 1);
+            self.distinct = [1; W];
+            self.advance(notes, split + 1..split + measured);
+        }
+        std::array::from_fn(|l| LaneTiming {
+            cycles: self.retire_port.cycle[l] - self.window_start[l],
+            distinct_issue_cycles: self.distinct[l],
+            hazard_events: std::array::from_fn(|k| self.hazard_events[k][l]),
+            hazard_cycles: std::array::from_fn(|k| self.hazard_cycles[k][l]),
+        })
+    }
+
+    /// Zeroes the window statistics at the warmup boundary, keeping every
+    /// piece of timing state — the mirror of [`crate::Engine::reset_stats`].
+    fn open_window(&mut self) {
+        self.window_start = self.retire_port.cycle;
+        self.distinct = [0; W];
+        self.hazard_events = [[0; W]; UNATTRIBUTED + 1];
+        self.hazard_cycles = [[0; W]; UNATTRIBUTED + 1];
+    }
+
+    fn advance(&mut self, notes: &AnnotatedTrace, range: Range<usize>) {
+        for i in range {
+            let n = notes.note(i);
+            match OpClass::ALL[notes.classes[i] as usize] {
+                OpClass::AluRr => self.step::<ALU_RR>(&n),
+                OpClass::AluRx => self.step::<ALU_RX>(&n),
+                OpClass::Load => self.step::<LOAD>(&n),
+                OpClass::Store => self.step::<STORE>(&n),
+                OpClass::Branch => self.step::<BRANCH>(&n),
+                OpClass::Fp => self.step::<FP>(&n),
+                OpClass::FpLong => self.step::<FP_LONG>(&n),
             }
         }
-        self.memory_wait += miss_extra;
+    }
 
-        // ---- Execute + writeback --------------------------------------
-        let exec_done = at + tables.execute + tables.exec_extra[n.class as usize];
-        if n.is_fp {
-            self.fp_busy_until = exec_done;
-        }
-        if n.dst != NO_REG {
-            let alu_ready = if self.forwarding { at + 1 } else { exec_done };
-            let miss_writer = if miss_extra > 0 {
-                WriterKind::Miss
-            } else {
-                WriterKind::Normal
-            };
-            let (ready_at, writer) = match n.class {
-                OpClass::Load => (data_ready, miss_writer),
-                OpClass::Fp | OpClass::FpLong => (exec_done, WriterKind::FpUnit),
-                _ => (alu_ready, miss_writer),
-            };
-            self.reg_ready[n.dst as usize] = ready_at;
-            self.reg_writer[n.dst as usize] = writer;
-        }
-        self.activity[Unit::Execute as usize] += tables.execute;
+    /// Advances every lane through one instruction of class `C`, in the
+    /// stage engine's operation order.
+    #[inline(always)]
+    fn step<const C: usize>(&mut self, n: &Note) {
+        let is_mem = C == ALU_RX || C == LOAD || C == STORE;
+        let is_fp = C == FP || C == FP_LONG;
+        let push_row = self.pushes & self.ring_mask;
+        for l in 0..W {
+            // ---- Front end: fetch + decode ----------------------------
+            let queue_floor = self.ring[(self.pushes + self.ring_offset[l]) & self.ring_mask][l];
+            let decode_req = max(
+                max(self.decode_port.cycle[l], self.redirect_at[l]),
+                queue_floor,
+            ) + self.penalty[n.fetch][l];
+            let decode_cycle = self.decode_port.acquire(l, decode_req);
+            let decode_done = decode_cycle + self.decode[l];
 
-        // ---- Branch resolution ----------------------------------------
-        if n.branch != 0 {
-            self.branches += 1;
-            if n.branch == 2 {
-                self.mispredicts += 1;
+            // ---- Scoreboard: the latest source, a miss winning ties ---
+            let [a, b] = n.src;
+            let best = max(
+                self.scoreboard[a][l] + SOURCE_RANK[0],
+                self.scoreboard[b][l] + SOURCE_RANK[1],
+            );
+            let src_ready = best >> TAG_BITS;
+            let src_miss = best & TAG_MISS != 0;
+            let src_fp = best & (TAG_MISS | TAG_FP) == TAG_FP;
+
+            // ---- RX address/cache segment -----------------------------
+            let mut data_ready = decode_done;
+            let mut pipe_ready = decode_done;
+            let mut miss_extra = 0u64;
+            if n.has_mem {
+                let agen_done = max(decode_done, src_ready) + self.agen[l];
+                if C == STORE {
+                    data_ready = agen_done;
+                    pipe_ready = agen_done;
+                } else {
+                    let hit_ready = self.cache_port.acquire(l, agen_done) + self.cache[l];
+                    miss_extra = self.penalty[n.data][l];
+                    data_ready = hit_ready + miss_extra;
+                    if C == LOAD {
+                        pipe_ready =
+                            select_unpredictable(self.stall_on_use[l], hit_ready, data_ready);
+                    }
+                }
+            }
+            if C == ALU_RX {
+                pipe_ready = data_ready;
+            }
+
+            // ---- Issue to the E-unit (in order, width-limited) --------
+            let queue_ready = if is_mem { pipe_ready } else { decode_done };
+            let fp_ready = if is_fp { self.fp_busy_until[l] } else { 0 };
+            let prev_issue = self.issue_port.cycle[l];
+            let order_floor = select_unpredictable(self.in_order[l], prev_issue, 0);
+            let own = max(max(queue_ready, src_ready), fp_ready);
+            let mut base = max(own, order_floor);
+            if n.serial {
+                base = max(base, prev_issue + 1);
+                self.issue_port.close_cycle(l);
+            }
+            let at = self.issue_port.acquire(l, base);
+            if n.serial {
+                self.issue_port.close_cycle(l);
+            }
+            self.ring[push_row][l] = at;
+            self.distinct[l] += u64::from(at != prev_issue);
+
+            // ---- Hazard attribution -----------------------------------
+            let transit = decode_done
+                + if is_mem {
+                    self.agen[l] + self.cache[l]
+                } else {
+                    0
+                };
+            let floor = max(transit, order_floor);
+            let stall = own - min(own, floor);
+            let mut kind = select_unpredictable(fp_ready > floor, UNATTRIBUTED, STRUCTURAL);
+            let data_kind = select_unpredictable(src_fp, UNATTRIBUTED, DATA);
+            kind = select_unpredictable(src_ready > floor, data_kind, kind);
+            let load_use_blocked = C == ALU_RX && miss_extra > 0;
+            kind = select_unpredictable(load_use_blocked | src_miss, MEMORY, kind);
+            self.hazard_events[kind][l] += u64::from(stall > 0);
+            self.hazard_cycles[kind][l] += min(stall, self.hazard_cap[l]);
+
+            // ---- Execute + writeback ----------------------------------
+            let exec_done = at + self.exec_latency[C][l];
+            if is_fp {
+                self.fp_busy_until[l] = exec_done;
+            }
+            let miss_writer = select_unpredictable(miss_extra > 0, TAG_MISS, 0);
+            let (ready_at, tag) = match C {
+                LOAD => (data_ready, miss_writer),
+                FP | FP_LONG => (exec_done, TAG_FP),
+                _ => (
+                    select_unpredictable(self.forwarding[l], at + 1, exec_done),
+                    miss_writer,
+                ),
+            };
+            self.scoreboard[n.dst][l] = ready_at << TAG_BITS | tag;
+
+            // ---- Branch resolution ------------------------------------
+            if n.mispredict {
                 let resume = exec_done + 1;
-                let refill = resume.saturating_sub(decode_cycle + 1);
-                self.hazards
-                    .record(HazardKind::Control, refill.min(tables.hazard_cap));
-                self.redirect_at = resume;
+                let refill = resume - min(resume, decode_cycle + 1);
+                self.hazard_events[CONTROL][l] += u64::from(refill > 0);
+                self.hazard_cycles[CONTROL][l] += min(refill, self.hazard_cap[l]);
+                self.redirect_at[l] = resume;
             }
+
+            // ---- Completion / retire ----------------------------------
+            self.retire_port.acquire(l, exec_done + self.complete[l]);
         }
-
-        // ---- Completion / retire --------------------------------------
-        let retire = self
-            .retire_port
-            .acquire((exec_done + tables.complete).max(self.last_retire));
-        self.last_retire = retire;
-        self.finish_cycle = self.finish_cycle.max(retire);
-        self.activity[Unit::Decode as usize] += tables.decode;
-        self.activity[Unit::Complete as usize] += tables.complete;
-        self.instructions += 1;
+        self.pushes += 1;
     }
+}
 
-    /// Opens a fresh measurement window at the warmup boundary: zeroes
-    /// every statistic while keeping all timing state (ports, scoreboard,
-    /// redirect, FP occupancy, decoupling window) intact — the mirror of
-    /// [`crate::Engine::reset_stats`].
-    fn reset_stats(&mut self) {
-        self.instructions = 0;
-        self.activity = [0; Unit::ALL.len()];
-        self.stats_base_cycle = self.finish_cycle;
-        self.hazards = HazardStats::new();
-        self.memory_wait = 0;
-        self.fetch_stall_cycles = 0;
-        self.branches = 0;
-        self.mispredicts = 0;
-        self.serialized = 0;
-        self.distinct = 0;
-        self.last_issue_cycle_seen = None;
-        self.cache = [(0, 0); 3];
-    }
+/// Runs `lanes` (exactly `W` of them) as one block.
+fn run_block<const W: usize>(
+    lanes: &[LaneConfig],
+    notes: &AnnotatedTrace,
+    split: usize,
+    measured: usize,
+    out: &mut Vec<LaneTiming>,
+) {
+    out.extend(Block::<W>::new(lanes).run(notes, split, measured));
+}
 
-    fn report(&self) -> SimReport {
+/// One lane's figures: its report, plus the fetch-stall cycles that the
+/// telemetry flush needs and the report does not carry.
+#[derive(Debug)]
+struct LaneFigures {
+    report: SimReport,
+    fetch_stall_cycles: u64,
+}
+
+impl LaneFigures {
+    /// Combines a lane's own timing with the window's lane-uniform counts,
+    /// priced by the lane's latency tables.
+    fn new(lane: &LaneConfig, window: &WindowCounts, timing: &LaneTiming) -> LaneFigures {
+        let tables = &lane.tables;
+        let mut events = timing.hazard_events;
+        let mut stall_cycles = timing.hazard_cycles;
+        let mut fetch_stall_cycles = 0;
+        let mut memory_wait = 0;
+        for level in 1..=3 {
+            let penalty = lane.penalty(level);
+            let fetches = window.fetch[level];
+            if penalty > 0 {
+                // Every counted fetch at this level is one memory-hazard
+                // episode of the capped penalty.
+                events[MEMORY] += fetches;
+                stall_cycles[MEMORY] += fetches * penalty.min(tables.hazard_cap);
+            }
+            fetch_stall_cycles += fetches * penalty;
+            memory_wait += (fetches + window.data_waits[level]) * penalty;
+        }
+        let n = window.instructions;
+        let memory_ops = window.memory_ops();
+        let mut activity = [0u64; Unit::ALL.len()];
+        activity[Unit::Decode as usize] = n * tables.decode;
+        activity[Unit::Agen as usize] = memory_ops * tables.agen;
+        activity[Unit::Cache as usize] = memory_ops * tables.cache;
+        activity[Unit::Execute as usize] = n * tables.execute;
+        activity[Unit::Complete as usize] = n * tables.complete;
         let rate = |(accesses, misses): (u64, u64)| {
             if accesses == 0 {
                 0.0
@@ -368,21 +600,26 @@ impl Lane {
                 misses as f64 / accesses as f64
             }
         };
-        SimReport::gather(
-            self.config,
-            self.plan,
-            self.instructions,
-            self.finish_cycle.saturating_sub(self.stats_base_cycle),
-            self.distinct,
-            &self.activity,
-            self.hazards.clone(),
-            self.branches,
-            self.mispredicts,
-            rate(self.cache[0]),
-            rate(self.cache[2]),
-            rate(self.cache[1]),
-            self.memory_wait,
-        )
+        let [l1d, l1i, l2] = window.cache();
+        let report = SimReport::gather(
+            lane.config,
+            lane.plan,
+            n,
+            timing.cycles,
+            timing.distinct_issue_cycles,
+            &activity,
+            HazardStats::from_counts(events, stall_cycles),
+            window.branches,
+            window.mispredicts,
+            rate(l1d),
+            rate(l2),
+            rate(l1i),
+            memory_wait,
+        );
+        LaneFigures {
+            report,
+            fetch_stall_cycles,
+        }
     }
 }
 
@@ -404,7 +641,9 @@ impl Lane {
 ///
 /// # Errors
 ///
-/// Returns the first [`ConfigError`] found validating any configuration.
+/// Returns the first [`ConfigError`] found validating any configuration,
+/// or [`ConfigError::CycleRange`] when a lane's miss latencies are so
+/// large that its cycle counts could outgrow the kernel's 60-bit range.
 pub fn replay_sweep(
     notes: &AnnotatedTrace,
     configs: &[SimConfig],
@@ -412,37 +651,47 @@ pub fn replay_sweep(
     instructions: u64,
     telemetry: &Telemetry,
 ) -> Result<Vec<SimReport>, ConfigError> {
-    let mut lanes = configs
+    let lanes = configs
         .iter()
-        .map(|&config| Lane::new(config))
+        .map(|&config| LaneConfig::new(config))
         .collect::<Result<Vec<_>, _>>()?;
 
     let split = usize::try_from(warmup)
         .unwrap_or(usize::MAX)
         .min(notes.len());
-    for i in 0..split {
-        let n = notes.note(i);
-        for lane in &mut lanes {
-            lane.step(&n);
-        }
-    }
-    let warmed: u64 = lanes.iter().map(|l| l.instructions).sum();
-    telemetry.counter("sim.warmup_instructions").add(warmed);
-    for lane in &mut lanes {
-        lane.reset_stats();
-    }
-
     let measured = usize::try_from(instructions)
         .unwrap_or(usize::MAX)
         .min(notes.len() - split);
-    for i in split..split + measured {
-        let n = notes.note(i);
-        for lane in &mut lanes {
-            lane.step(&n);
-        }
+    for lane in &lanes {
+        lane.check_cycle_range((split + measured) as u64)?;
     }
-    flush_telemetry(&lanes, telemetry);
-    Ok(lanes.iter().map(Lane::report).collect())
+    telemetry
+        .counter("sim.warmup_instructions")
+        .add(lanes.len() as u64 * split as u64);
+
+    let mut timings = Vec::with_capacity(lanes.len());
+    let mut rest = &lanes[..];
+    while !rest.is_empty() {
+        // The widest power-of-two block that fits: no padding lanes.
+        let width = 1 << rest.len().min(MAX_BLOCK).ilog2();
+        let (block, tail) = rest.split_at(width);
+        match width {
+            8 => run_block::<8>(block, notes, split, measured, &mut timings),
+            4 => run_block::<4>(block, notes, split, measured, &mut timings),
+            2 => run_block::<2>(block, notes, split, measured, &mut timings),
+            _ => run_block::<1>(block, notes, split, measured, &mut timings),
+        }
+        rest = tail;
+    }
+
+    let window = WindowCounts::tally(notes, split..split + measured);
+    let figures: Vec<LaneFigures> = lanes
+        .iter()
+        .zip(&timings)
+        .map(|(lane, timing)| LaneFigures::new(lane, &window, timing))
+        .collect();
+    flush_telemetry(&figures, &window, telemetry);
+    Ok(figures.into_iter().map(|f| f.report).collect())
 }
 
 /// Replays an annotation against one configuration — the single-depth
@@ -471,41 +720,42 @@ pub fn replay(
 
 /// Flushes the lanes' summed window statistics into the same static-name
 /// `sim.*` counters the engine flushes, once per replay pass.
-fn flush_telemetry(lanes: &[Lane], telemetry: &Telemetry) {
+fn flush_telemetry(figures: &[LaneFigures], window: &WindowCounts, telemetry: &Telemetry) {
     if !telemetry.is_enabled() {
         return;
     }
-    let sum = |f: &dyn Fn(&Lane) -> u64| lanes.iter().map(f).sum::<u64>();
+    let sum = |f: &dyn Fn(&LaneFigures) -> u64| figures.iter().map(f).sum::<u64>();
+    let lanes = figures.len() as u64;
     let t = telemetry;
-    t.counter("sim.instructions").add(sum(&|l| l.instructions));
+    t.counter("sim.instructions")
+        .add(sum(&|f| f.report.instructions));
     for (i, &kind) in HazardKind::ALL.iter().enumerate() {
         t.counter(metric_names::HAZARD_EVENTS[i])
-            .add(sum(&|l| l.hazards.events(kind)));
+            .add(sum(&|f| f.report.hazards.events(kind)));
         t.counter(metric_names::HAZARD_STALL_CYCLES[i])
-            .add(sum(&|l| l.hazards.stall_cycles(kind)));
+            .add(sum(&|f| f.report.hazards.stall_cycles(kind)));
     }
     t.counter("sim.stage.frontend.fetch_stall_cycles")
-        .add(sum(&|l| l.fetch_stall_cycles));
+        .add(sum(&|f| f.fetch_stall_cycles));
     t.counter("sim.stage.frontend.redirects")
-        .add(sum(&|l| l.mispredicts));
+        .add(lanes * window.mispredicts);
     t.counter("sim.stage.issue.serialized_ops")
-        .add(sum(&|l| l.serialized));
+        .add(lanes * window.serialized);
     t.counter("sim.stage.issue.distinct_cycles")
-        .add(sum(&|l| l.distinct));
+        .add(sum(&|f| f.report.distinct_issue_cycles));
     t.counter("sim.stage.exec.memory_wait_cycles")
-        .add(sum(&|l| l.memory_wait));
+        .add(sum(&|f| f.report.memory_wait_cycles));
     // Every branch in the window is one predictor observation: hits are
     // the correctly predicted ones, misses the rest — the engine's
     // observed/correct deltas expressed through the annotation.
     t.counter("sim.predictor.hits")
-        .add(sum(&|l| l.branches - l.mispredicts));
+        .add(lanes * (window.branches - window.mispredicts));
     t.counter("sim.predictor.misses")
-        .add(sum(&|l| l.mispredicts));
-    for i in 0..3 {
+        .add(lanes * window.mispredicts);
+    for (i, (accesses, misses)) in window.cache().into_iter().enumerate() {
         t.counter(metric_names::CACHE_HITS[i])
-            .add(sum(&|l| l.cache[i].0 - l.cache[i].1));
-        t.counter(metric_names::CACHE_MISSES[i])
-            .add(sum(&|l| l.cache[i].1));
+            .add(lanes * (accesses - misses));
+        t.counter(metric_names::CACHE_MISSES[i]).add(lanes * misses);
     }
 }
 
@@ -565,6 +815,22 @@ mod tests {
         let mut bad = good;
         bad.width = 0;
         assert!(replay(&notes, bad, 0, 100).is_err());
+    }
+
+    #[test]
+    fn replay_rejects_runs_beyond_the_cycle_range() {
+        let stream = trace(1_000);
+        let mut config = SimConfig::paper(8);
+        config.cache.memory_latency_fo4 = 1e18;
+        config
+            .validate()
+            .expect("a huge latency is still a valid config");
+        let notes = annotate(&stream, config.cache, config.predictor).expect("valid config");
+        match replay(&notes, config, 0, 1_000) {
+            Err(ConfigError::CycleRange { instructions, .. }) => assert_eq!(instructions, 1_000),
+            other => panic!("expected a cycle-range error, got {other:?}"),
+        }
+        assert!(replay(&notes, SimConfig::paper(8), 0, 1_000).is_ok());
     }
 
     #[cfg(feature = "telemetry")]
