@@ -13,7 +13,6 @@
 //!   image, the per-cell overhead a warm run pays instead of simulating.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use pipedepth_core::eval::TieredCache;
 use pipedepth_experiments::{CellSpec, RunConfig, RunStore, Runner, SimCache};
 use pipedepth_sim::{annotate, AnnotatedTrace, SimConfig, SimReport};
 use pipedepth_store::{Blob, ByteReader, ByteWriter};
@@ -132,12 +131,11 @@ fn bench_warm_probe(c: &mut Criterion) {
             for (spec, report) in &cells {
                 warm.insert(spec.key(), *spec, Arc::clone(report));
             }
-            let mut tiered: TieredCache<CellSpec, SimReport> = TieredCache::new();
-            tiered.attach_warm(warm);
+            let cache = SimCache::backed_by(warm);
             for (spec, _) in &cells {
-                black_box(tiered.get(spec.key(), spec).expect("warm hit"));
+                black_box(cache.get(spec.key(), spec).expect("warm hit"));
             }
-            black_box(tiered.len())
+            black_box(cache.len())
         })
     });
     group.finish();

@@ -5,7 +5,7 @@
 //! The encodings carry the *full* spec — every field, floats by IEEE-754
 //! bit pattern — not just its content hash: a decoded entry compares
 //! equal to the original under `PartialEq`, which is what lets the warm
-//! tier of a [`TieredCache`](super::TieredCache) resolve hash collisions
+//! tier of a [`ShardedCache`](super::ShardedCache) resolve hash collisions
 //! exactly and never serve a wrong answer from disk.
 //!
 //! Versioning lives one layer down: any change to these field lists must

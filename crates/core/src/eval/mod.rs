@@ -21,9 +21,10 @@
 //!   the hook for the simulator's annotate-once replay kernel);
 //! * [`AnalyticModel`] — the closed-form backend, evaluating the paper's
 //!   extended theory (`τ_total = τ(p) + t_mem`) directly from the profile;
-//! * [`EvalCache`] / [`ShardedCache`] — the concurrent result cache
-//!   shared by the experiment runner and the `pipedepth-serve` service
-//!   (see [`cache`](crate::eval::cache)).
+//! * [`ShardedCache`] — the one concurrent result cache, shared by the
+//!   experiment runner and the `pipedepth-serve` service, with an
+//!   optional warm tier loaded from a persistent snapshot (see
+//!   [`cache`](crate::eval::cache)).
 //!
 //! The simulation backend lives in the experiments crate (the simulator
 //! does not depend on this crate), implementing the same trait, so runners
@@ -36,20 +37,17 @@
 
 /// Binary codecs for persisting evaluation rows through `pipedepth-store`.
 pub mod blob;
-/// The sharded, backend-agnostic result cache.
+/// The sharded, backend-agnostic result cache and its warm tier.
 pub mod cache;
-/// The two-tier (memory + warm disk image) cache built on [`cache`].
-pub mod tiered;
 
-/// The cache trait and its sharded implementation (see [`cache`]).
-pub use cache::{CacheStats, EvalCache, ShardedCache};
-/// The tiered cache with promote-on-hit from a warm disk image.
-pub use tiered::TieredCache;
+/// The result cache and its counters (see [`cache`]).
+pub use cache::{CacheStats, ShardedCache};
 
 /// Evaluation failures, re-exported from the crate error surface.
 pub use crate::error::EvalError;
 use crate::params::{ClockGating, MetricExponent, PowerParams, TechParams, WorkloadParams};
 use crate::perf::PerfModel;
+use pipedepth_store::Fnv64;
 
 /// A fitted workload characterisation: everything the analytic model needs
 /// to evaluate the paper's equations for one workload.
@@ -126,19 +124,11 @@ impl CellSpec {
     /// Content hash of the cell: FNV-1a over the workload id and the bit
     /// patterns of every numeric field. No allocation; collisions are
     /// resolved by full [`PartialEq`] comparison wherever the key is used
-    /// (see [`EvalCache`]), so the hash only needs to spread well.
+    /// (see [`ShardedCache`]), so the hash only needs to spread well.
     pub fn key(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = OFFSET;
-        let mut eat = |byte: u8| {
-            h ^= u64::from(byte);
-            h = h.wrapping_mul(PRIME);
-        };
-        for byte in self.workload.bytes() {
-            eat(byte);
-        }
-        eat(0xff); // separator: "ab" + depth 1 must differ from "ab\x01"
+        let mut h = Fnv64::new();
+        // 0xff separator: "ab" + depth 1 must differ from "ab\x01".
+        h.write_bytes(self.workload.as_bytes()).write_bytes(&[0xff]);
         for word in [
             u64::from(self.depth),
             self.warmup,
@@ -152,15 +142,14 @@ impl CellSpec {
             self.ref_depth.to_bits(),
             self.latch_growth.to_bits(),
         ] {
-            for byte in word.to_le_bytes() {
-                eat(byte);
-            }
+            h.write_u64(word);
         }
-        h
+        h.finish()
     }
 
     /// Checks the cell for the failure modes every backend rejects:
-    /// unpipelined or zero depth, non-finite profile fields, and a power
+    /// unpipelined or zero depth, a `warmup + instructions` total that
+    /// overflows `u64`, non-finite profile fields, and a power
     /// calibration outside the model's domain.
     ///
     /// # Errors
@@ -169,6 +158,11 @@ impl CellSpec {
     pub fn validate(&self) -> Result<(), EvalError> {
         if self.depth < 1 {
             return Err(EvalError::invalid("depth must be at least 1 stage"));
+        }
+        if self.warmup.checked_add(self.instructions).is_none() {
+            return Err(EvalError::invalid(
+                "warmup + instructions must fit in 64 bits",
+            ));
         }
         let finite = [
             ("alpha", self.profile.alpha),
@@ -462,6 +456,12 @@ mod tests {
         bad_leakage.leakage_fraction = 1.5;
         let err = bad_leakage.validate().unwrap_err();
         assert!(err.to_string().contains("leakage_fraction"), "{err}");
+        let mut overflowing = CellSpec::new("t", profile(), 8);
+        overflowing.warmup = 1 << 63;
+        overflowing.instructions = 1 << 63;
+        let err = overflowing.validate().unwrap_err();
+        assert!(matches!(err, EvalError::InvalidCell { .. }), "{err}");
+        assert!(err.to_string().contains("warmup + instructions"), "{err}");
     }
 
     #[test]
@@ -509,6 +509,16 @@ mod tests {
         for other in [deeper, renamed, recalibrated] {
             assert_ne!(base.key(), other.key());
         }
+    }
+
+    #[test]
+    fn cell_key_is_pinned() {
+        // The value every earlier build computed: persisted snapshots and
+        // serve caches are addressed by it.
+        let mut cell = CellSpec::new("legacy-00", profile(), 10);
+        cell.warmup = 1_000;
+        cell.instructions = 4_000;
+        assert_eq!(cell.key(), 0x96ae_8641_16dd_5256);
     }
 
     #[test]

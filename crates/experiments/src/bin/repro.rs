@@ -34,8 +34,6 @@ struct Options {
     list: bool,
     threads: usize,
     timing_details: bool,
-    no_arena: bool,
-    no_cache: bool,
     no_sweep_kernel: bool,
     out_dir: PathBuf,
     only: Option<Vec<String>>,
@@ -50,8 +48,6 @@ fn parse_args() -> Options {
         list: false,
         threads: 0,
         timing_details: false,
-        no_arena: false,
-        no_cache: false,
         no_sweep_kernel: false,
         out_dir: PathBuf::from("results"),
         only: None,
@@ -70,8 +66,6 @@ fn parse_args() -> Options {
             "--quick" => opts.quick = true,
             "--list" => opts.list = true,
             "--timing-details" => opts.timing_details = true,
-            "--no-arena" => opts.no_arena = true,
-            "--no-cache" => opts.no_cache = true,
             "--no-sweep-kernel" => opts.no_sweep_kernel = true,
             "--out" => {
                 opts.out_dir = PathBuf::from(value(&args, i, "--out"));
@@ -102,13 +96,12 @@ fn parse_args() -> Options {
                 opts.store = Some(PathBuf::from(value(&args, i, "--store")));
                 i += 1;
             }
-            "--no-store" => opts.store = None,
             other => {
                 eprintln!("unknown argument {other:?}");
                 eprintln!(
                     "usage: repro [--quick] [--out DIR] [--only a,b] [--list] [--threads N] \
-                     [--backend sim|model|both] [--timing-details] [--no-arena] [--no-cache] \
-                     [--no-sweep-kernel] [--store DIR] [--no-store]"
+                     [--backend sim|model|both] [--timing-details] [--no-sweep-kernel] \
+                     [--store DIR]"
                 );
                 exit(2);
             }
@@ -155,12 +148,6 @@ fn main() -> io::Result<()> {
     fs::create_dir_all(&opts.out_dir)?;
     let telemetry = Telemetry::new();
     let mut runner = Runner::new(opts.threads).with_telemetry(telemetry.clone());
-    if opts.no_arena {
-        runner = runner.without_arena();
-    }
-    if opts.no_cache {
-        runner = runner.without_cache();
-    }
     if opts.no_sweep_kernel {
         runner = runner.without_sweep_kernel();
     }
@@ -275,31 +262,25 @@ fn main() -> io::Result<()> {
     for phase in &phases {
         let _ = writeln!(report, "| {} | {:.1?} |", phase.name, phase.wall);
     }
-    let stats = ctx.runner.cache_stats();
-    let cache_line = match &stats {
-        Some(stats) => format!(
-            "simulation cache: {} cells simulated, {} served from cache, {} requested \
-             (hit rate {:.1}%)",
-            stats.misses,
-            stats.hits,
-            stats.requested(),
-            100.0 * stats.hit_rate()
-        ),
-        None => "simulation cache: disabled (--no-cache); every batch re-simulated".to_string(),
-    };
+    let stats = ctx.runner.cache_stats().unwrap_or_default();
+    let cache_line = format!(
+        "simulation cache: {} cells simulated, {} served from cache, {} requested \
+         (hit rate {:.1}%)",
+        stats.misses,
+        stats.hits,
+        stats.requested(),
+        100.0 * stats.hit_rate()
+    );
     let _ = writeln!(report, "\n{cache_line}");
-    let arena = ctx.runner.arena_stats();
-    let arena_line = match &arena {
-        Some(a) => format!(
-            "trace arena: {} streams materialized ({} instructions), {} shared lookups \
-             (hit rate {:.1}%)",
-            a.misses,
-            a.instructions_materialized,
-            a.hits,
-            100.0 * a.hit_rate()
-        ),
-        None => "trace arena: disabled (--no-arena); every cell regenerated its trace".to_string(),
-    };
+    let arena = ctx.runner.arena_stats().unwrap_or_default();
+    let arena_line = format!(
+        "trace arena: {} streams materialized ({} instructions), {} shared lookups \
+         (hit rate {:.1}%)",
+        arena.misses,
+        arena.instructions_materialized,
+        arena.hits,
+        100.0 * arena.hit_rate()
+    );
     let _ = writeln!(report, "\n{arena_line}");
     let kernel = ctx
         .runner
@@ -337,8 +318,8 @@ fn main() -> io::Result<()> {
         threads: ctx.runner.threads(),
         config: ctx.config.clone(),
         phases,
-        cache: stats,
-        arena,
+        cache: Some(stats),
+        arena: Some(arena),
         sweep_kernel: kernel,
         store: store_stats,
         metrics: snapshot,

@@ -479,6 +479,20 @@ mod tests {
     }
 
     #[test]
+    fn sim_backend_rejects_overflowing_windows_as_values() {
+        let runner = Runner::serial();
+        let w = &representatives()[0];
+        let backend = SimBackend::with_workloads(&runner, std::slice::from_ref(w));
+        let mut cell = cell_for(w, fitted_profile(w), 8, &tiny());
+        cell.warmup = 1 << 63;
+        cell.instructions = 1 << 63;
+        let err = backend
+            .evaluate(&cell)
+            .expect_err("warmup + instructions overflows u64");
+        assert_eq!(err.code(), "invalid_cell");
+    }
+
+    #[test]
     fn batch_evaluation_is_one_dispatch_and_matches_single_cells() {
         let runner = Runner::serial();
         let cfg = tiny();

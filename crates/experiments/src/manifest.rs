@@ -15,6 +15,7 @@ use crate::runner::CacheStats;
 use crate::store::StoreStats;
 use crate::sweep::RunConfig;
 use pipedepth_sim::AnnotateStats;
+use pipedepth_store::Fnv64;
 use pipedepth_telemetry::{json, Snapshot};
 use pipedepth_trace::ArenaStats;
 use std::fmt::Write as _;
@@ -22,11 +23,10 @@ use std::time::Duration;
 
 /// Version of the manifest layout; bumped on breaking changes so consumers
 /// can reject manifests they do not understand. Version 2 added the
-/// `arena` section (trace-arena service counters, or `null` when the arena
-/// is disabled via `--no-arena`). Version 3 added the single-line
-/// `sweep_kernel` section (annotation-store counters, or `null` when the
-/// kernel is disabled via `--no-sweep-kernel`) — kept to one line so
-/// kernel-A/B consumers can drop it wholesale. Version 4 added the
+/// `arena` section (trace-arena service counters). Version 3 added the
+/// single-line `sweep_kernel` section (annotation-store counters, or
+/// `null` when the kernel is disabled via `--no-sweep-kernel`) — kept to
+/// one line so kernel-A/B consumers can drop it wholesale. Version 4 added the
 /// single-line `store` section (persistent-store counters of a `--store`
 /// run, or `null` without one), one line for the same reason: warm-vs-cold
 /// manifest comparisons drop it with a line filter.
@@ -50,11 +50,11 @@ pub struct Manifest {
     pub config: RunConfig,
     /// Per-phase wall times, in execution order.
     pub phases: Vec<PhaseTiming>,
-    /// Simulation-cache counters at the end of the run; `None` when the
-    /// cache was disabled (`--no-cache`).
+    /// Simulation-cache counters at the end of the run (`None` renders
+    /// `null`; the runner always reports them).
     pub cache: Option<CacheStats>,
-    /// Trace-arena counters at the end of the run; `None` when the arena
-    /// was disabled (`--no-arena`).
+    /// Trace-arena counters at the end of the run (`None` renders `null`;
+    /// the runner always reports them).
     pub arena: Option<ArenaStats>,
     /// Annotation-store counters of the sweep kernel; `None` when the
     /// kernel was disabled (`--no-sweep-kernel`).
@@ -71,12 +71,9 @@ pub struct Manifest {
 /// FNV-1a content digest of a run configuration. `Debug` round-trips every
 /// `f64` exactly, so equal digests mean equal configurations.
 pub fn config_digest(config: &RunConfig) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in format!("{config:?}").bytes() {
-        hash ^= byte as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
+    Fnv64::new()
+        .write_bytes(format!("{config:?}").as_bytes())
+        .finish()
 }
 
 fn us(d: Duration) -> String {
@@ -255,6 +252,9 @@ mod tests {
         let quick = RunConfig::quick();
         assert_eq!(config_digest(&quick), config_digest(&RunConfig::quick()));
         assert_ne!(config_digest(&quick), config_digest(&RunConfig::default()));
+        // The canonical run's digest, as recorded in results/manifest.json
+        // and in the header of every persisted snapshot.
+        assert_eq!(config_digest(&RunConfig::default()), 0x9ec1_461a_5069_716d);
     }
 
     #[test]

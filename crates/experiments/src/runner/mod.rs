@@ -30,7 +30,6 @@ pub use cell::CellSpec;
 
 use crate::extract::extract_from_report;
 use crate::sweep::{DepthPoint, RunConfig, WorkloadCurve};
-use pipedepth_core::eval::TieredCache;
 use pipedepth_power::metric;
 use pipedepth_sim::{
     replay_sweep, AnnotatedTrace, AnnotationKey, AnnotationStore, SimConfig, SimReport, WarmSource,
@@ -43,8 +42,8 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
 /// One pending cell's pre-staged inputs: the trace-request key and the
-/// arena-resident stream, or `None` when the arena is disabled.
-type StagedCell = Option<(u64, Arc<[Instruction]>)>;
+/// arena-resident stream.
+type StagedCell = (u64, Arc<[Instruction]>);
 
 /// One schedulable unit of a batch: either a single cell on the stage
 /// engine, or a whole same-workload depth group on the annotate/replay
@@ -65,15 +64,12 @@ enum WorkItem {
 #[derive(Debug)]
 pub struct Runner {
     threads: usize,
-    /// Shared result cache — a memory tier with an optional warm tier
-    /// loaded from a persistent store; `None` re-simulates every cell,
-    /// every batch (the `--no-cache` escape hatch). In-batch duplicates
-    /// still coalesce.
-    cache: Option<TieredCache<CellSpec, SimReport>>,
+    /// Shared result cache, with an optional warm tier loaded from a
+    /// persistent store.
+    cache: SimCache,
     telemetry: Telemetry,
-    /// Shared trace store; `None` routes every cell through the streaming
-    /// path (the `--no-arena` escape hatch).
-    arena: Option<TraceArena>,
+    /// Shared trace store: every distinct stream is generated once.
+    arena: TraceArena,
     /// Routes same-workload depth groups through the annotate-once /
     /// replay-per-depth kernel; `false` restores the per-cell engine path
     /// (the `--no-sweep-kernel` escape hatch).
@@ -99,9 +95,9 @@ impl Runner {
         };
         Runner {
             threads,
-            cache: Some(TieredCache::new()),
+            cache: SimCache::new(),
             telemetry: Telemetry::disabled(),
-            arena: Some(TraceArena::new()),
+            arena: TraceArena::new(),
             sweep_kernel: true,
             annotations: AnnotationStore::new(),
             memo_hits_seen: AtomicU64::new(pipedepth_trace::fingerprint_memo_hits()),
@@ -118,39 +114,19 @@ impl Runner {
     /// histograms, arena counters and the engine/trace metrics of every
     /// executed cell report into it.
     pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
-        if let Some(arena) = self.arena.as_mut() {
-            arena.attach_telemetry(&telemetry);
-        }
+        self.arena.attach_telemetry(&telemetry);
         self.annotations.attach_telemetry(&telemetry);
         self.telemetry = telemetry;
         self
     }
 
-    /// Disables the trace arena: every cell regenerates its stream through
-    /// the streaming engine path, as before the arena existed. An escape
-    /// hatch for memory-constrained hosts and for A/B-ing the two paths.
-    pub fn without_arena(mut self) -> Self {
-        self.arena = None;
-        self
-    }
-
-    /// Disables the result cache: every batch re-simulates its cells (the
-    /// `--no-cache` escape hatch; in-batch duplicates still coalesce). An
-    /// A/B lever for the cache itself and a memory cap for huge sweeps.
-    pub fn without_cache(mut self) -> Self {
-        self.cache = None;
-        self
-    }
-
-    /// Attaches a warm tier of finished reports — the decoded image of a
-    /// previous run's persistent snapshot. Memory misses then probe the
-    /// warm tier and promote hits, so previously computed cells skip
-    /// simulation entirely. No-op under `--no-cache`: a disabled cache
-    /// means *no* reuse, warm or hot.
+    /// Puts a warm tier of finished reports — the decoded image of a
+    /// previous run's persistent snapshot — behind a fresh result cache.
+    /// Memory misses then probe the warm tier and promote hits, so
+    /// previously computed cells skip simulation entirely. A builder
+    /// step: call it before the first batch.
     pub fn with_warm_reports(mut self, warm: SimCache) -> Self {
-        if let Some(cache) = self.cache.as_mut() {
-            cache.attach_warm(warm);
-        }
+        self.cache = SimCache::backed_by(warm);
         self
     }
 
@@ -180,28 +156,25 @@ impl Runner {
         self.threads
     }
 
-    /// Cache hit/miss counters so far; `None` when the cache is disabled.
-    /// These are the memory-tier classification counters the runner has
-    /// always reported — attaching a warm tier does not change them.
+    /// Cache hit/miss counters so far (always `Some`; the `Option`
+    /// keeps the manifest's field type). These are the memory-tier
+    /// classification counters — attaching a warm tier does not change
+    /// them.
     pub fn cache_stats(&self) -> Option<CacheStats> {
-        self.cache.as_ref().map(TieredCache::stats)
+        Some(self.cache.stats())
     }
 
-    /// Warm-tier probe counters (`None` when the cache is disabled or no
-    /// warm tier is attached): `hits` = cells served from the loaded
-    /// snapshot instead of simulation.
+    /// Warm-tier probe counters (`None` when no warm tier is attached):
+    /// `hits` = cells served from the loaded snapshot instead of
+    /// simulation.
     pub fn warm_report_stats(&self) -> Option<CacheStats> {
-        self.cache.as_ref().and_then(TieredCache::warm_stats)
+        self.cache.warm_stats()
     }
 
     /// A deterministic snapshot of every finished cell in the memory tier,
-    /// for the persistence layer to encode and publish. Empty under
-    /// `--no-cache`.
+    /// for the persistence layer to encode and publish.
     pub fn export_reports(&self) -> Vec<(CellSpec, Arc<SimReport>)> {
-        self.cache
-            .as_ref()
-            .map(TieredCache::entries)
-            .unwrap_or_default()
+        self.cache.entries()
     }
 
     /// Seeds the annotation store from a persistent snapshot, so warm
@@ -228,9 +201,10 @@ impl Runner {
         self.annotations.export()
     }
 
-    /// Arena service counters so far; `None` when the arena is disabled.
+    /// Arena service counters so far (always `Some`; the `Option` keeps
+    /// the manifest's field type).
     pub fn arena_stats(&self) -> Option<ArenaStats> {
-        self.arena.as_ref().map(TraceArena::stats)
+        Some(self.arena.stats())
     }
 
     /// Whether the annotate/replay sweep kernel is enabled.
@@ -255,7 +229,7 @@ impl Runner {
         let mut hits: u64 = 0;
         for (i, cell) in cells.iter().enumerate() {
             let key = cell.key();
-            if let Some(report) = self.cache.as_ref().and_then(|c| c.get(key, cell)) {
+            if let Some(report) = self.cache.get(key, cell) {
                 results[i] = Some(report);
                 hits += 1;
             } else if let Some(j) = pending.iter().position(|(k, c)| *k == key && c == cell) {
@@ -266,10 +240,8 @@ impl Runner {
                 waiters.push(vec![i]);
             }
         }
-        if let Some(cache) = &self.cache {
-            cache.count_hits(hits);
-            cache.count_misses(pending.len() as u64);
-        }
+        self.cache.count_hits(hits);
+        self.cache.count_misses(pending.len() as u64);
         self.telemetry
             .counter("runner.cells_requested")
             .add(cells.len() as u64);
@@ -284,11 +256,7 @@ impl Runner {
         self.flush_memo_hits();
 
         for (((key, spec), slots), report) in pending.into_iter().zip(waiters).zip(computed) {
-            let inserted = match &self.cache {
-                Some(cache) => cache.insert(key, spec, Arc::clone(&report)),
-                None => false,
-            };
-            if inserted {
+            if self.cache.insert(key, spec, Arc::clone(&report)) {
                 self.telemetry.counter("runner.cache_inserts").inc();
             }
             for i in slots {
@@ -309,14 +277,11 @@ impl Runner {
     /// executed cell's lookup then counts a hit — so the counters are
     /// deterministic for any thread count, and workers never generate.
     /// Returns each cell's request key and staged stream (one entry per
-    /// pending cell, `None` without an arena), so the sweep-kernel
+    /// pending cell), so the sweep-kernel
     /// planner can annotate without extra arena traffic — and without
     /// recomputing a single fingerprint, keeping the memo-hit counter
     /// identical whether or not the kernel is enabled.
     fn pre_stage(&self, pending: &[(u64, CellSpec)]) -> Vec<StagedCell> {
-        let Some(arena) = &self.arena else {
-            return vec![None; pending.len()];
-        };
         let mut by_key: BTreeMap<u64, Arc<[Instruction]>> = BTreeMap::new();
         pending
             .iter()
@@ -330,16 +295,17 @@ impl Runner {
                 let trace = by_key
                     .entry(key)
                     .or_insert_with(|| {
-                        arena.get_or_generate(request.model, request.seed, request.len)
+                        self.arena
+                            .get_or_generate(request.model, request.seed, request.len)
                     })
                     .clone();
-                Some((key, trace))
+                (key, trace)
             })
             .collect()
     }
 
     /// Partitions the pending cells into schedulable work items. With the
-    /// sweep kernel enabled (and the arena present), cells that differ
+    /// sweep kernel enabled, cells that differ
     /// only in pipeline depth become one [`WorkItem::Group`] sharing one
     /// annotation — annotated here, serially, so the annotation-store
     /// counters are deterministic for any thread count. Everything else
@@ -349,7 +315,7 @@ impl Runner {
     /// field neutralised) rather than by hash, so enabling the kernel
     /// changes no fingerprint or cache-counter accounting.
     fn plan_items(&self, pending: &[(u64, CellSpec)], staged: &[StagedCell]) -> Vec<WorkItem> {
-        if !self.sweep_kernel || self.arena.is_none() {
+        if !self.sweep_kernel {
             return (0..pending.len()).map(WorkItem::Cell).collect();
         }
         let mates = |a: &CellSpec, b: &CellSpec| {
@@ -378,19 +344,19 @@ impl Runner {
                 continue;
             }
             let spec = &pending[i].1;
-            let annotation = staged[i].as_ref().and_then(|(key, trace)| {
-                self.annotations
-                    .get_or_annotate(*key, trace, spec.sim.cache, spec.sim.predictor)
-                    .ok()
-            });
+            let (key, trace) = &staged[i];
+            let annotation = self
+                .annotations
+                .get_or_annotate(*key, trace, spec.sim.cache, spec.sim.predictor)
+                .ok();
             match annotation {
                 Some(annotation) => items.push(WorkItem::Group {
                     members,
                     annotation,
                 }),
-                // An unstaged stream or an unannotatable configuration
-                // falls back to the engine path, which shares its
-                // validation and error surface.
+                // An unannotatable configuration falls back to the
+                // engine path, which shares its validation and error
+                // surface.
                 None => items.extend(members.into_iter().map(WorkItem::Cell)),
             }
         }
@@ -462,26 +428,17 @@ impl Runner {
         reports
     }
 
-    /// Simulates one cell over the arena's shared stream, or through the
-    /// streaming path when the arena is disabled.
-    fn simulate(&self, spec: &CellSpec) -> SimReport {
-        match &self.arena {
-            Some(arena) => spec.execute_with(arena, &self.telemetry),
-            None => spec.execute_streaming(&self.telemetry),
-        }
-    }
-
     /// Runs one cell, recording its queue wait (batch start to pickup) and
     /// simulation time when telemetry is enabled.
     fn execute_cell(&self, spec: &CellSpec, queued_at: Stopwatch) -> Arc<SimReport> {
         if !self.telemetry.is_enabled() {
-            return Arc::new(self.simulate(spec));
+            return Arc::new(spec.execute_with(&self.arena, &self.telemetry));
         }
         let start = Stopwatch::start();
         self.telemetry
             .histogram("runner.queue_wait_us", &DEFAULT_TIME_BUCKETS_US)
             .record(queued_at.elapsed_us());
-        let report = Arc::new(self.simulate(spec));
+        let report = Arc::new(spec.execute_with(&self.arena, &self.telemetry));
         let busy_us = start.elapsed_us();
         self.telemetry
             .histogram("runner.cell_time_us", &DEFAULT_TIME_BUCKETS_US)
@@ -534,11 +491,11 @@ impl Runner {
         queued_at: Stopwatch,
     ) -> Vec<Arc<SimReport>> {
         let start = Stopwatch::start();
-        if let Some(arena) = &self.arena {
-            for &i in members {
-                let spec = &pending[i].1;
-                let _ = arena.get_or_generate(spec.model, spec.trace_seed, spec.trace_len());
-            }
+        for &i in members {
+            let spec = &pending[i].1;
+            let _ = self
+                .arena
+                .get_or_generate(spec.model, spec.trace_seed, spec.trace_len());
         }
         let lead = &pending[members[0]].1;
         let configs: Vec<SimConfig> = members.iter().map(|&i| pending[i].1.sim).collect();
@@ -746,34 +703,6 @@ mod tests {
     }
 
     #[test]
-    fn disabled_cache_re_simulates_but_matches() {
-        let runner = Runner::serial().without_cache();
-        assert!(runner.cache_stats().is_none());
-        let cells = cells_of(&representatives()[0], &tiny());
-        let first = runner.run_cells(&cells);
-        let again = runner.run_cells(&cells);
-        for (a, b) in first.iter().zip(&again) {
-            assert!(!Arc::ptr_eq(a, b), "no cache means fresh reports");
-            assert_eq!(**a, **b, "results must still be deterministic");
-        }
-        let cached = Runner::serial().run_cells(&cells);
-        for (a, b) in first.iter().zip(&cached) {
-            assert_eq!(**a, **b, "cache must not change results");
-        }
-    }
-
-    #[test]
-    fn disabled_cache_still_coalesces_within_a_batch() {
-        let runner = Runner::serial().without_cache();
-        let base = cells_of(&representatives()[0], &tiny());
-        let doubled: Vec<CellSpec> = base.iter().chain(base.iter()).copied().collect();
-        let reports = runner.run_cells(&doubled);
-        for (a, b) in reports[..base.len()].iter().zip(&reports[base.len()..]) {
-            assert!(Arc::ptr_eq(a, b), "in-batch duplicates share one run");
-        }
-    }
-
-    #[test]
     fn in_batch_duplicates_simulate_once() {
         let runner = Runner::serial();
         let base = cells_of(&representatives()[0], &tiny());
@@ -796,15 +725,6 @@ mod tests {
     }
 
     #[test]
-    fn arena_and_streaming_paths_agree() {
-        let ws = representatives();
-        let cfg = tiny();
-        let with_arena = Runner::serial().sweep_all(&ws, &cfg);
-        let streaming = Runner::serial().without_arena().sweep_all(&ws, &cfg);
-        assert_eq!(with_arena, streaming);
-    }
-
-    #[test]
     fn arena_counters_are_thread_count_invariant() {
         let ws = representatives();
         let cfg = tiny();
@@ -820,7 +740,6 @@ mod tests {
         assert_eq!(serial.misses, ws.len() as u64);
         assert_eq!(serial.hits, (ws.len() * cfg.depths.len()) as u64);
         assert!(serial.hit_rate() > 0.7, "hit rate {}", serial.hit_rate());
-        assert!(Runner::serial().without_arena().arena_stats().is_none());
     }
 
     #[test]

@@ -1,13 +1,13 @@
 //! The persistent evaluation store behind `--store`: warm-starts a run
 //! from the snapshots a previous run published.
 //!
-//! [`RunStore`] is the experiments-side owner of two `pipedepth-store`
-//! namespaces under one directory:
+//! [`RunStore`] owns two [`Namespace`]s of `pipedepth-store` under one
+//! directory:
 //!
 //! * `sim_reports` — every finished simulation cell, as a
 //!   ([`CellSpec`], [`SimReport`]) record. Loaded eagerly at startup into
 //!   the *warm tier* of the runner's
-//!   [`TieredCache`](pipedepth_core::eval::TieredCache): memory misses
+//!   [`ShardedCache`](pipedepth_core::eval::ShardedCache): memory misses
 //!   probe the decoded image and promote hits, so previously computed
 //!   cells skip simulation entirely.
 //! * `annotations` — the depth-invariant annotate-once columns, as an
@@ -18,39 +18,26 @@
 //!   whose every cell is a warm report hit plans no depth group and never
 //!   reads it.
 //!
-//! Keys follow the store's invalidation discipline: each namespace is
-//! versioned by its record codec ([`REPORTS_SCHEMA`],
-//! [`ANNOTATIONS_SCHEMA`]), by the crate version, and by the run-config
-//! digest ([`crate::manifest::config_digest`]) — a snapshot from a
-//! different code version or run configuration degrades to a cold start,
-//! never to a wrong answer. Decoded specs are full structs, so even a
-//! hash collision inside a valid snapshot resolves by `PartialEq`
-//! exactly as in the in-memory cache.
-//!
-//! Publishing is write-behind: `flush_*` snapshots the entries on the
-//! calling thread (no locks held — the cache's `entries()` drops its
-//! shard guards before returning) and hands encoding plus the atomic
-//! temp-file-and-rename publish to the store's [`Flusher`] worker, so
-//! the hot loop never blocks on I/O. The `*_if_grown` gates publish only
-//! a snapshot larger than what the namespace holds on disk. The
-//! annotation gate's high-water mark is set by the on-demand load, which
-//! runs before the first new annotation, so every published annotation
+//! Each namespace is keyed by its record codec ([`REPORTS_SCHEMA`],
+//! [`ANNOTATIONS_SCHEMA`]), the crate version, and the run-config digest
+//! ([`crate::manifest::config_digest`]); loading, write-behind publishing,
+//! corruption handling and the shared `store.*` counters are the
+//! namespace's. What stays here is the growth gate: the `*_if_grown`
+//! flushes publish only a snapshot larger than what the namespace holds
+//! on disk. The annotation gate counts the on-demand load, which runs
+//! before the first new annotation, so every published annotation
 //! snapshot is a superset of the persisted one, and a run that never read
-//! the namespace never republishes it. [`RunStore::finish`] drains the
-//! worker and returns the deterministic [`StoreStats`] the manifest
+//! the namespace never republishes it. [`RunStore::finish`] drains both
+//! flushers and returns the deterministic [`StoreStats`] the manifest
 //! records.
 
 use crate::manifest::config_digest;
 use crate::runner::{CacheStats, CellSpec, SimCache};
 use crate::sweep::RunConfig;
 use pipedepth_sim::{AnnotatedTrace, AnnotationKey, SimReport, WarmSource};
-use pipedepth_store::{
-    load_records, publish_records, Blob, ByteReader, ByteWriter, DecodeError, Flusher, LoadOutcome,
-    NamespaceSpec,
-};
-use pipedepth_telemetry::{Stopwatch, Telemetry, DEFAULT_TIME_BUCKETS_US};
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use pipedepth_store::{Blob, ByteReader, ByteWriter, DecodeError, Namespace, NamespaceSpec};
+use pipedepth_telemetry::Telemetry;
+use std::path::Path;
 use std::sync::Arc;
 
 /// Record-codec version of the `sim_reports` namespace. Bump whenever the
@@ -65,22 +52,12 @@ pub const ANNOTATIONS_SCHEMA: u32 = 1;
 /// different build degrade to a cold start.
 const CODE_VERSION: &str = env!("CARGO_PKG_VERSION");
 
-fn reports_spec(digest: u64) -> NamespaceSpec<'static> {
-    NamespaceSpec {
-        name: "sim_reports",
-        schema_version: REPORTS_SCHEMA,
-        code_version: CODE_VERSION,
-        config_digest: digest,
-    }
-}
-
-fn annotations_spec(digest: u64) -> NamespaceSpec<'static> {
-    NamespaceSpec {
-        name: "annotations",
-        schema_version: ANNOTATIONS_SCHEMA,
-        code_version: CODE_VERSION,
-        config_digest: digest,
-    }
+/// The per-namespace loaded-records counters.
+mod metric_names {
+    /// Report records decoded at startup.
+    pub const REPORTS_LOADED: &str = "store.reports_loaded";
+    /// Annotation records decoded on demand.
+    pub const ANNOTATIONS_LOADED: &str = "store.annotations_loaded";
 }
 
 // A cell spec persists as its full field list (model and machine through
@@ -103,36 +80,6 @@ impl Blob for CellSpec {
             instructions: r.take_u64()?,
         })
     }
-}
-
-fn report_record(spec: &CellSpec, report: &SimReport) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    spec.encode(&mut w);
-    report.encode(&mut w);
-    w.into_bytes()
-}
-
-fn decode_report_record(bytes: &[u8]) -> Result<(CellSpec, SimReport), DecodeError> {
-    let mut r = ByteReader::new(bytes);
-    let spec = CellSpec::decode(&mut r)?;
-    let report = SimReport::decode(&mut r)?;
-    r.finish()?;
-    Ok((spec, report))
-}
-
-fn annotation_record(key: &AnnotationKey, notes: &AnnotatedTrace) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    key.encode(&mut w);
-    notes.encode(&mut w);
-    w.into_bytes()
-}
-
-fn decode_annotation_record(bytes: &[u8]) -> Result<(AnnotationKey, AnnotatedTrace), DecodeError> {
-    let mut r = ByteReader::new(bytes);
-    let key = AnnotationKey::decode(&mut r)?;
-    let notes = AnnotatedTrace::decode(&mut r)?;
-    r.finish()?;
-    Ok((key, notes))
 }
 
 /// Deterministic end-of-run counters of one [`RunStore`], recorded in the
@@ -161,124 +108,32 @@ pub struct StoreStats {
     pub records_flushed: u64,
 }
 
-/// Counters a [`RunStore`] shares with its flusher jobs and with the
-/// on-demand annotation loader, both of which outlive any borrow of the
-/// store. `finish` reads them only after the flusher drained; the loader
-/// runs on a thread of the runner's, ordered before the gate that reads
-/// its high-water mark by the annotation store's locks.
-#[derive(Debug, Default)]
-struct Shared {
-    flushes: AtomicU64,
-    records_flushed: AtomicU64,
-    annotations_read: AtomicBool,
-    annotations_loaded: AtomicU64,
-    // High-water mark of the annotation snapshot on disk (set by the
-    // load, advanced by `flush_annotations_if_grown`).
-    annotations_high: AtomicU64,
-    invalid: AtomicU64,
-}
-
-impl Shared {
-    /// Counts one rejected namespace: corruption or version skew,
-    /// degraded to a cold start.
-    fn reject(&self, telemetry: &Telemetry) {
-        self.invalid.fetch_add(1, Ordering::Relaxed);
-        telemetry.counter("store.invalid").inc();
+/// The growth gate: true, advancing `high`, when `len` entries exceed
+/// both the largest snapshot published so far and the `loaded` one.
+/// Republishing an unchanged snapshot costs a full re-encode for zero new
+/// durability, so a fully warm run — whose caches only re-fill to the
+/// loaded size — publishes nothing.
+fn grown(high: &mut u64, loaded: u64, len: usize) -> bool {
+    let len = len as u64;
+    let grown = len > (*high).max(loaded);
+    if grown {
+        *high = len;
     }
-
-    /// Counts a rejection unless the snapshot file is simply missing.
-    fn reject_unless_missing(
-        &self,
-        telemetry: &Telemetry,
-        reason: &pipedepth_store::InvalidReason,
-    ) {
-        if !reason.is_missing() {
-            self.reject(telemetry);
-        }
-    }
-
-    /// Counts one published snapshot of `records` records.
-    fn published(&self, telemetry: &Telemetry, records: usize) {
-        self.flushes.fetch_add(1, Ordering::Relaxed);
-        self.records_flushed
-            .fetch_add(records as u64, Ordering::Relaxed);
-        telemetry.counter("store.flushes").inc();
-        telemetry
-            .counter("store.records_flushed")
-            .add(records as u64);
-    }
-}
-
-/// Reads and decodes the `annotations` snapshot. A missing file, a
-/// rejected header or checksum, or any undecodable record yields no
-/// entries — a cold start, never a partial or wrong one.
-fn load_annotation_records(
-    dir: &Path,
-    digest: u64,
-    telemetry: &Telemetry,
-    shared: &Shared,
-) -> Vec<(AnnotationKey, Arc<AnnotatedTrace>)> {
-    let start = Stopwatch::start();
-    shared.annotations_read.store(true, Ordering::Relaxed);
-    let mut seeds = Vec::new();
-    match load_records(dir, &annotations_spec(digest)) {
-        LoadOutcome::Warm(records) => {
-            match records
-                .iter()
-                .map(|r| decode_annotation_record(r))
-                .collect::<Result<Vec<_>, _>>()
-            {
-                Ok(entries) => {
-                    let loaded = entries.len() as u64;
-                    shared.annotations_loaded.store(loaded, Ordering::Relaxed);
-                    shared.annotations_high.fetch_max(loaded, Ordering::Relaxed);
-                    telemetry.counter("store.annotations_loaded").add(loaded);
-                    seeds = entries
-                        .into_iter()
-                        .map(|(key, notes)| (key, Arc::new(notes)))
-                        .collect();
-                }
-                // A record that passed every checksum but fails the
-                // codec is version skew the header keys missed.
-                Err(_) => shared.reject(telemetry),
-            }
-        }
-        LoadOutcome::Cold(reason) => shared.reject_unless_missing(telemetry, &reason),
-    }
-    telemetry
-        .histogram("store.load_us", &DEFAULT_TIME_BUCKETS_US)
-        .record(start.elapsed_us());
-    seeds
+    grown
 }
 
 /// The persistent store of one run: loads report snapshots at startup and
 /// annotation snapshots on demand, publishes them write-behind while the
 /// run progresses.
+#[derive(Debug)]
 pub struct RunStore {
-    dir: PathBuf,
-    digest: u64,
-    telemetry: Telemetry,
-    flusher: Flusher,
-    shared: Arc<Shared>,
-    reports_loaded: u64,
+    reports: Namespace<CellSpec, SimReport>,
+    annotations: Namespace<AnnotationKey, AnnotatedTrace>,
     warm: CacheStats,
-    // High-water mark for the growth-gated report flush: the largest
-    // entry count already on disk (seeded by `load_reports`, advanced by
-    // `flush_reports_if_grown`). Republishing an unchanged snapshot costs
-    // a full re-encode for zero new durability, so a fully warm run—whose
-    // caches only ever re-fill to the loaded size—publishes nothing.
+    // Growth-gate high-water marks: the largest snapshot each namespace
+    // published this run.
     reports_high: u64,
-}
-
-impl std::fmt::Debug for RunStore {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RunStore")
-            .field("dir", &self.dir)
-            .field("digest", &self.digest)
-            .field("reports_loaded", &self.reports_loaded)
-            .field("shared", &self.shared)
-            .finish_non_exhaustive()
-    }
+    annotations_high: u64,
 }
 
 impl RunStore {
@@ -286,26 +141,29 @@ impl RunStore {
     /// every `store.*` counter immediately, so cold and warm runs emit
     /// the same metric-name set.
     pub fn open(dir: &Path, config: &RunConfig, telemetry: &Telemetry) -> Self {
-        for name in [
-            "store.hits",
-            "store.misses",
-            "store.reports_loaded",
-            "store.annotations_loaded",
-            "store.invalid",
-            "store.flushes",
-            "store.records_flushed",
-        ] {
-            telemetry.counter(name).add(0);
-        }
+        let digest = config_digest(config);
+        let spec = |name, schema_version| NamespaceSpec {
+            name,
+            schema_version,
+            code_version: CODE_VERSION,
+            config_digest: digest,
+        };
         RunStore {
-            dir: dir.to_path_buf(),
-            digest: config_digest(config),
-            telemetry: telemetry.clone(),
-            flusher: Flusher::new(),
-            shared: Arc::new(Shared::default()),
-            reports_loaded: 0,
+            reports: Namespace::open(
+                dir,
+                spec("sim_reports", REPORTS_SCHEMA),
+                metric_names::REPORTS_LOADED,
+                telemetry,
+            ),
+            annotations: Namespace::open(
+                dir,
+                spec("annotations", ANNOTATIONS_SCHEMA),
+                metric_names::ANNOTATIONS_LOADED,
+                telemetry,
+            ),
             warm: CacheStats::default(),
             reports_high: 0,
+            annotations_high: 0,
         }
     }
 
@@ -313,35 +171,10 @@ impl RunStore {
     /// file, a rejected header or checksum, or any undecodable record
     /// yields an empty image — a cold start, never a partial or wrong one.
     pub fn load_reports(&mut self) -> SimCache {
-        let start = Stopwatch::start();
         let warm = SimCache::new();
-        match load_records(&self.dir, &reports_spec(self.digest)) {
-            LoadOutcome::Warm(records) => {
-                match records
-                    .iter()
-                    .map(|r| decode_report_record(r))
-                    .collect::<Result<Vec<_>, _>>()
-                {
-                    Ok(entries) => {
-                        self.reports_loaded = entries.len() as u64;
-                        self.reports_high = self.reports_loaded;
-                        self.telemetry
-                            .counter("store.reports_loaded")
-                            .add(self.reports_loaded);
-                        for (spec, report) in entries {
-                            warm.insert(spec.key(), spec, Arc::new(report));
-                        }
-                    }
-                    Err(_) => self.shared.reject(&self.telemetry),
-                }
-            }
-            LoadOutcome::Cold(reason) => {
-                self.shared.reject_unless_missing(&self.telemetry, &reason)
-            }
+        for (spec, report) in self.reports.load() {
+            warm.insert(spec.key(), spec, report);
         }
-        self.telemetry
-            .histogram("store.load_us", &DEFAULT_TIME_BUCKETS_US)
-            .record(start.elapsed_us());
         warm
     }
 
@@ -350,7 +183,7 @@ impl RunStore {
     /// hand the runner an [`annotation_source`](Self::annotation_source),
     /// which does the same load only if the run needs it.
     pub fn load_annotations(&mut self) -> Vec<(AnnotationKey, Arc<AnnotatedTrace>)> {
-        load_annotation_records(&self.dir, self.digest, &self.telemetry, &self.shared)
+        self.annotations.load()
     }
 
     /// The on-demand form of [`load_annotations`](Self::load_annotations),
@@ -358,43 +191,14 @@ impl RunStore {
     /// the runner's annotation store runs it on its first miss, and the
     /// load updates this store's counters and growth gate when it runs.
     pub fn annotation_source(&self) -> WarmSource {
-        let dir = self.dir.clone();
-        let digest = self.digest;
-        let telemetry = self.telemetry.clone();
-        let shared = Arc::clone(&self.shared);
-        Box::new(move || load_annotation_records(&dir, digest, &telemetry, &shared))
-    }
-
-    /// Encodes `entries` and publishes them as namespace `spec`, on the
-    /// flusher thread.
-    fn publish<T: Send + 'static>(
-        &self,
-        spec: NamespaceSpec<'static>,
-        entries: Vec<T>,
-        record: fn(&T) -> Vec<u8>,
-    ) {
-        let dir = self.dir.clone();
-        let telemetry = self.telemetry.clone();
-        let shared = Arc::clone(&self.shared);
-        self.flusher.submit(move || {
-            let start = Stopwatch::start();
-            let records: Vec<Vec<u8>> = entries.iter().map(record).collect();
-            if publish_records(&dir, &spec, &records).is_ok() {
-                shared.published(&telemetry, records.len());
-            }
-            telemetry
-                .histogram("store.flush_us", &DEFAULT_TIME_BUCKETS_US)
-                .record(start.elapsed_us());
-        });
+        Box::new(self.annotations.loader())
     }
 
     /// Publishes a snapshot of finished cells, write-behind. The entries
     /// were already snapshotted by the caller; encoding and the atomic
     /// publish happen on the flusher thread.
     pub fn flush_reports(&self, entries: Vec<(CellSpec, Arc<SimReport>)>) {
-        self.publish(reports_spec(self.digest), entries, |(spec, report)| {
-            report_record(spec, report)
-        });
+        self.reports.flush(entries);
     }
 
     /// [`flush_reports`](Self::flush_reports), gated on growth: publishes
@@ -403,37 +207,29 @@ impl RunStore {
     /// nothing on phases that added no cells — and a fully warm run
     /// publishes nothing at all.
     pub fn flush_reports_if_grown(&mut self, entries: Vec<(CellSpec, Arc<SimReport>)>) {
-        if (entries.len() as u64) > self.reports_high {
-            self.reports_high = entries.len() as u64;
+        if grown(&mut self.reports_high, self.reports.loaded(), entries.len()) {
             self.flush_reports(entries);
         }
     }
 
     /// Publishes a snapshot of resident annotations, write-behind.
     pub fn flush_annotations(&self, entries: Vec<(AnnotationKey, Arc<AnnotatedTrace>)>) {
-        self.publish(annotations_spec(self.digest), entries, |(key, notes)| {
-            annotation_record(key, notes)
-        });
+        self.annotations.flush(entries);
     }
 
     /// [`flush_annotations`](Self::flush_annotations), gated on growth —
     /// same discipline as [`flush_reports_if_grown`](Self::flush_reports_if_grown),
     /// and the bigger win: annotations dominate snapshot bytes by two
-    /// orders of magnitude. The high-water mark is the loaded count once
-    /// the namespace was read (eagerly or on demand), so a run that never
+    /// orders of magnitude. The loaded count joins the gate once the
+    /// namespace was read (eagerly or on demand), so a run that never
     /// read it publishes only when it annotated something, which it does
     /// after the on-demand load.
     pub fn flush_annotations_if_grown(
         &mut self,
         entries: Vec<(AnnotationKey, Arc<AnnotatedTrace>)>,
     ) {
-        let len = entries.len() as u64;
-        if self
-            .shared
-            .annotations_high
-            .fetch_max(len, Ordering::Relaxed)
-            < len
-        {
+        let loaded = self.annotations.loaded();
+        if grown(&mut self.annotations_high, loaded, entries.len()) {
             self.flush_annotations(entries);
         }
     }
@@ -444,28 +240,32 @@ impl RunStore {
         if let Some(stats) = stats {
             self.warm = stats;
         }
-        self.telemetry.counter("store.hits").add(self.warm.hits);
-        self.telemetry.counter("store.misses").add(self.warm.misses);
+        self.reports.record_warm(self.warm.hits, self.warm.misses);
     }
 
     /// Drains every pending flush and returns the run's store counters.
     /// Call *before* snapshotting telemetry, so the manifest sees the
     /// final flush metrics.
     pub fn finish(mut self) -> StoreStats {
-        self.flusher.shutdown();
-        let shared = &self.shared;
+        self.reports.shutdown();
+        self.annotations.shutdown();
+        let (reports, annotations) = (&self.reports, &self.annotations);
         StoreStats {
             hits: self.warm.hits,
             misses: self.warm.misses,
-            reports_loaded: self.reports_loaded,
-            annotations_loaded: shared.annotations_loaded.load(Ordering::Relaxed),
-            annotations_read: shared.annotations_read.load(Ordering::Relaxed),
-            invalid: shared.invalid.load(Ordering::Relaxed),
-            flushes: shared.flushes.load(Ordering::Relaxed),
-            records_flushed: shared.records_flushed.load(Ordering::Relaxed),
+            reports_loaded: reports.loaded(),
+            annotations_loaded: annotations.loaded(),
+            annotations_read: annotations.was_read(),
+            invalid: reports.invalid() + annotations.invalid(),
+            flushes: reports.flushes() + annotations.flushes(),
+            records_flushed: reports.records_flushed() + annotations.records_flushed(),
         }
     }
 }
+
+// The tests' scratch-directory helper names these through `super::*`.
+#[cfg(test)]
+use std::{path::PathBuf, sync::atomic::Ordering};
 
 #[cfg(test)]
 mod tests {

@@ -6,7 +6,7 @@
 //! cargo run --release -p pipedepth-serve -- \
 //!     [--port N] [--addr HOST] [--threads N] [--workers N] \
 //!     [--queue-cap N] [--batch-max N] [--deadline-ms N] \
-//!     [--backend sim|model|auto] [--no-cache] [--store DIR] [--full]
+//!     [--backend sim|model|auto] [--store DIR] [--full]
 //! ```
 //!
 //! The process serves until `POST /v1/shutdown`, drains, prints the final
@@ -28,8 +28,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: pipedepth-serve [--port N] [--addr HOST] [--threads N] [--workers N]\n\
          \u{20}                      [--queue-cap N] [--batch-max N] [--deadline-ms N]\n\
-         \u{20}                      [--backend sim|model|auto] [--no-cache] [--store DIR]\n\
-         \u{20}                      [--full]\n\
+         \u{20}                      [--backend sim|model|auto] [--store DIR] [--full]\n\
          \n\
          \u{20} --port N           listen port (default 8471; 0 picks an ephemeral port)\n\
          \u{20} --addr HOST        listen address (default 127.0.0.1)\n\
@@ -39,10 +38,9 @@ fn usage() -> ! {
          \u{20} --batch-max N      cells per backend dispatch (default 32)\n\
          \u{20} --deadline-ms N    default per-request deadline; 0 = none (default 0)\n\
          \u{20} --backend B        pin every request to one backend (default: per-request)\n\
-         \u{20} --no-cache         disable the outcome and report caches\n\
          \u{20} --store DIR        persistent outcome store: warm-start the simulation\n\
          \u{20}                    cache from DIR's snapshot and snapshot back into it\n\
-         \u{20}                    (periodically and at drain); ignored with --no-cache\n\
+         \u{20}                    (periodically and at drain)\n\
          \u{20} --full             full-length run configuration for template cells\n\
          \u{20}                    (default: the quick configuration)"
     );
@@ -109,7 +107,6 @@ fn parse_args() -> Options {
                 }));
                 i += 1;
             }
-            "--no-cache" => opts.config.cache = false,
             "--store" => {
                 opts.config.store = Some(std::path::PathBuf::from(value(&args, i, "--store")));
                 i += 1;

@@ -10,7 +10,9 @@
 //! * an **outcome cache** — two [`ShardedCache`](pipedepth_core::eval::ShardedCache)s (one per backend, so a
 //!   degraded analytic answer can never shadow a simulation result) keyed
 //!   by [`CellSpec::key`](pipedepth_core::eval::CellSpec::key), the same cache type the repro driver's runner
-//!   uses for simulation reports;
+//!   uses for simulation reports; under `--store` the simulation side
+//!   sits in front of a warm tier, the persistent store's decoded
+//!   snapshot;
 //! * **deadline handling** — a per-request budget; `auto` requests degrade
 //!   to the analytic model when the budget rules simulation out (either up
 //!   front, via a running instructions-per-microsecond estimate, or after
@@ -25,9 +27,7 @@ use crate::store::OutcomeStore;
 use crate::wire::v1::{
     CellResult, EvaluateRequest, EvaluateResponse, OptimumResponse, WireBackend,
 };
-use pipedepth_core::eval::{
-    AnalyticModel, CellSpec, EvalOutcome, Evaluator, ShardedCache, TieredCache,
-};
+use pipedepth_core::eval::{AnalyticModel, CellSpec, EvalOutcome, Evaluator, ShardedCache};
 use pipedepth_core::EvalError;
 use pipedepth_experiments::eval::{cell_for, fitted_profile, SimBackend};
 use pipedepth_experiments::runner::Runner;
@@ -64,13 +64,9 @@ pub struct ServiceConfig {
     /// When set, pins every request to this backend regardless of what
     /// the request asked for (the `--backend` flag).
     pub backend: Option<WireBackend>,
-    /// Whether the outcome cache (and the runner's report cache) are on.
-    pub cache: bool,
     /// When set, the directory of the persistent outcome store: the
     /// simulation cache warm-starts from its snapshot and the service
-    /// snapshots back into it (periodically and at drain). Ignored when
-    /// `cache` is off — the store is a tier below the cache, not a
-    /// replacement for it.
+    /// snapshots back into it (periodically and at drain).
     pub store: Option<std::path::PathBuf>,
     /// Template run configuration: sizing and power calibration for cells
     /// that do not override them.
@@ -86,7 +82,6 @@ impl Default for ServiceConfig {
             batch_max: 32,
             deadline_ms: 0,
             backend: None,
-            cache: true,
             store: None,
             run: RunConfig::quick(),
         }
@@ -100,13 +95,13 @@ pub const STORE_FLUSH_EVERY: u64 = 64;
 
 /// Per-backend outcome caches. Split by backend so an `auto` request that
 /// degraded to the model can never satisfy a later `sim` request. The
-/// simulation side is tiered: its optional warm tier is the persistent
-/// store's decoded snapshot, probed on memory misses with promote-on-hit.
+/// simulation side may have a warm tier: the persistent store's decoded
+/// snapshot, probed on memory misses with promote-on-hit.
 /// The model side stays purely in-memory — analytic answers cost
 /// microseconds and are never persisted.
 #[derive(Debug)]
 struct OutcomeCache {
-    sim: TieredCache<CellSpec, EvalOutcome>,
+    sim: ShardedCache<CellSpec, EvalOutcome>,
     model: ShardedCache<CellSpec, EvalOutcome>,
 }
 
@@ -114,7 +109,7 @@ struct OutcomeCache {
 pub struct EvalService {
     sim: SimBackend,
     model: AnalyticModel,
-    cache: Option<OutcomeCache>,
+    cache: OutcomeCache,
     queue: BatchQueue,
     telemetry: Telemetry,
     by_name: BTreeMap<String, Workload>,
@@ -124,8 +119,8 @@ pub struct EvalService {
     /// Observed simulation throughput in instructions per microsecond,
     /// stored as `f64` bits; 0 until the first dispatch completes.
     rate_bits: AtomicU64,
-    /// The persistent outcome store (`--store`), when configured with the
-    /// cache on. All its runtime methods take `&self`, so the `Arc`'d
+    /// The persistent outcome store (`--store`), when configured. All its
+    /// runtime methods take `&self`, so the `Arc`'d
     /// service snapshots and syncs without extra locking.
     store: Option<OutcomeStore>,
     /// Simulation-outcome inserts since the last periodic store snapshot.
@@ -136,7 +131,6 @@ impl std::fmt::Debug for EvalService {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EvalService")
             .field("workloads", &self.by_name.len())
-            .field("cache", &self.cache.is_some())
             .field("queue_depth", &self.queue.depth())
             .finish()
     }
@@ -147,30 +141,25 @@ impl EvalService {
     /// telemetry handle is shared with the runner, so `/metrics` exposes
     /// `runner.*` and `sim.*` alongside `serve.*`.
     pub fn new(config: ServiceConfig, telemetry: Telemetry) -> Self {
-        let mut runner = Runner::new(config.threads.max(1)).with_telemetry(telemetry.clone());
-        if !config.cache {
-            runner = runner.without_cache();
-        }
+        let runner = Runner::new(config.threads.max(1)).with_telemetry(telemetry.clone());
         let workloads = suite();
-        // The persistent store is a tier below the outcome cache: open it
-        // (and warm-start the simulation tier from its snapshot) only when
-        // the cache exists to sit on top of it.
-        let mut store = None;
-        let mut sim_cache = TieredCache::new();
-        if config.cache {
-            if let Some(dir) = config.store.as_deref() {
-                let mut s = OutcomeStore::open(dir, &config.run, &telemetry);
-                sim_cache.attach_warm(s.load());
-                store = Some(s);
-            }
-        }
+        // The persistent store is a tier below the simulation outcome
+        // cache: its snapshot warm-starts that cache.
+        let mut store = config
+            .store
+            .as_deref()
+            .map(|dir| OutcomeStore::open(dir, &config.run, &telemetry));
+        let sim_cache = match store.as_mut() {
+            Some(store) => ShardedCache::backed_by(store.load()),
+            None => ShardedCache::new(),
+        };
         EvalService {
             sim: SimBackend::new(Arc::new(runner)),
             model: AnalyticModel::paper(),
-            cache: config.cache.then(|| OutcomeCache {
+            cache: OutcomeCache {
                 sim: sim_cache,
                 model: ShardedCache::new(),
-            }),
+            },
             queue: BatchQueue::new(config.queue_cap, config.batch_max),
             telemetry,
             by_name: workloads
@@ -265,25 +254,18 @@ impl EvalService {
         if degraded {
             self.telemetry.counter("serve.degraded").inc();
         }
-        let cached = self
-            .cache
-            .as_ref()
-            .and_then(|c| c.model.get(spec.key(), spec));
-        let outcome = match cached {
+        let cache = &self.cache.model;
+        let outcome = match cache.get(spec.key(), spec) {
             Some(hit) => {
                 self.telemetry.counter("serve.cache_hits").inc();
-                if let Some(cache) = &self.cache {
-                    cache.model.count_hits(1);
-                }
+                cache.count_hits(1);
                 Ok(*hit)
             }
             None => {
-                if let Some(cache) = &self.cache {
-                    cache.model.count_misses(1);
-                }
+                cache.count_misses(1);
                 let result = self.model.evaluate(spec);
-                if let (Some(cache), Ok(out)) = (&self.cache, &result) {
-                    cache.model.insert(spec.key(), spec.clone(), Arc::new(*out));
+                if let Ok(out) = &result {
+                    cache.insert(spec.key(), spec.clone(), Arc::new(*out));
                 }
                 result
             }
@@ -311,32 +293,22 @@ impl EvalService {
         for (i, cell) in cells.iter().enumerate() {
             match cell {
                 Err(e) => results[i] = Some(error_result(e.clone(), "sim")),
-                Ok(spec) => {
-                    let cached = self
-                        .cache
-                        .as_ref()
-                        .and_then(|c| c.sim.get(spec.key(), spec));
-                    match cached {
-                        Some(hit) => {
-                            self.telemetry.counter("serve.cache_hits").inc();
-                            if let Some(cache) = &self.cache {
-                                cache.sim.count_hits(1);
-                            }
-                            results[i] = Some(CellResult {
-                                outcome: Ok(*hit),
-                                backend: "sim",
-                                degraded: false,
-                            });
-                        }
-                        None => {
-                            if let Some(cache) = &self.cache {
-                                cache.sim.count_misses(1);
-                            }
-                            submit_idx.push(i);
-                            submit_specs.push(spec.clone());
-                        }
+                Ok(spec) => match self.cache.sim.get(spec.key(), spec) {
+                    Some(hit) => {
+                        self.telemetry.counter("serve.cache_hits").inc();
+                        self.cache.sim.count_hits(1);
+                        results[i] = Some(CellResult {
+                            outcome: Ok(*hit),
+                            backend: "sim",
+                            degraded: false,
+                        });
                     }
-                }
+                    None => {
+                        self.cache.sim.count_misses(1);
+                        submit_idx.push(i);
+                        submit_specs.push(spec.clone());
+                    }
+                },
             }
         }
         if submit_specs.is_empty() {
@@ -362,10 +334,7 @@ impl EvalService {
         let admitted = self
             .queue
             .submit_with(&submit_specs, |spec| {
-                self.cache
-                    .as_ref()
-                    .and_then(|c| c.sim.get(spec.key(), spec))
-                    .map(|hit| *hit)
+                self.cache.sim.get(spec.key(), spec).map(|hit| *hit)
             })
             .inspect_err(|_| {
                 self.telemetry.counter("serve.shed").inc();
@@ -374,9 +343,7 @@ impl EvalService {
             self.telemetry
                 .counter("serve.cache_hits")
                 .add(admitted.cached);
-            if let Some(cache) = &self.cache {
-                cache.sim.count_hits(admitted.cached);
-            }
+            self.cache.sim.count_hits(admitted.cached);
         }
         self.telemetry
             .counter("serve.coalesced")
@@ -492,12 +459,14 @@ impl EvalService {
             // queue lock, so a live-index miss there must already see
             // these results.
             let mut inserted = 0u64;
-            if let Some(cache) = &self.cache {
-                for (spec, result) in specs.iter().zip(&results) {
-                    if let Ok(out) = result {
-                        if cache.sim.insert(spec.key(), spec.clone(), Arc::new(*out)) {
-                            inserted += 1;
-                        }
+            for (spec, result) in specs.iter().zip(&results) {
+                if let Ok(out) = result {
+                    if self
+                        .cache
+                        .sim
+                        .insert(spec.key(), spec.clone(), Arc::new(*out))
+                    {
+                        inserted += 1;
                     }
                 }
             }
@@ -603,8 +572,8 @@ impl EvalService {
     /// thread, with every shard guard already dropped — the flusher job
     /// owns its data outright (lock-order discipline).
     fn snapshot_store(&self) {
-        if let (Some(store), Some(cache)) = (&self.store, &self.cache) {
-            store.flush(cache.sim.entries());
+        if let Some(store) = &self.store {
+            store.flush(self.cache.sim.entries());
         }
     }
 
@@ -626,10 +595,8 @@ impl EvalService {
         if self.store_pending.swap(0, Ordering::Relaxed) > 0 {
             self.snapshot_store();
         }
-        if let Some(cache) = &self.cache {
-            if let Some(stats) = cache.sim.warm_stats() {
-                store.record_warm(stats);
-            }
+        if let Some(stats) = self.cache.sim.warm_stats() {
+            store.record_warm(stats.hits, stats.misses);
         }
         store.sync();
     }
@@ -693,7 +660,7 @@ impl EvalService {
             line.push_str(&format!(
                 "; store: {} outcome(s) loaded, {} warm hit(s), {} snapshot(s) published",
                 store.loaded(),
-                snap.counter("store.hits"),
+                self.cache.sim.warm_stats().map_or(0, |warm| warm.hits),
                 store.flushes(),
             ));
         }
@@ -1075,34 +1042,6 @@ mod tests {
         );
         assert_eq!(snap.counter("store.invalid"), 0);
 
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn no_cache_disables_the_store_entirely() {
-        let dir = scratch("nocache");
-        let mut config = quick_config();
-        config.store = Some(dir.clone());
-        config.cache = false;
-        let svc = service(config);
-        let resp = with_workers(&svc, || {
-            svc.evaluate(&request(
-                WireBackend::Sim,
-                None,
-                vec![WireCell::new("fp-01", 9)],
-            ))
-            .expect("admitted")
-        });
-        assert!(resp.results[0].outcome.is_ok());
-        svc.finish_store();
-        assert!(
-            !svc.stats_line().contains("store:"),
-            "no store section without a cache to warm"
-        );
-        assert!(
-            !dir.join("outcomes.pds").exists(),
-            "nothing published without a cache"
-        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

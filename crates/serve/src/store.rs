@@ -2,46 +2,38 @@
 //! evaluation service.
 //!
 //! [`OutcomeStore`](crate::store::OutcomeStore) owns one
-//! `pipedepth-store` namespace, `outcomes`, holding every simulation
-//! outcome the service has published as a
-//! ([`CellSpec`](pipedepth_core::eval::CellSpec),
+//! `pipedepth-store` [`Namespace`](pipedepth_store::Namespace),
+//! `outcomes`, holding every simulation outcome the service has
+//! published as a ([`CellSpec`](pipedepth_core::eval::CellSpec),
 //! [`EvalOutcome`](pipedepth_core::eval::EvalOutcome)) record. At
-//! startup the decoded image
-//! becomes the *warm tier* of the service's simulation
-//! [`TieredCache`](pipedepth_core::eval::TieredCache): a restarted
-//! server answers previously computed cells from disk, promoting them
-//! back into memory, instead of re-simulating.
+//! startup the decoded image becomes the *warm tier* of the service's
+//! simulation [`ShardedCache`](pipedepth_core::eval::ShardedCache): a
+//! restarted server answers previously computed cells from disk,
+//! promoting them back into memory, instead of re-simulating.
 //!
 //! The snapshot is keyed by the record codec version
 //! ([`OUTCOMES_SCHEMA`](crate::store::OUTCOMES_SCHEMA)), the crate
 //! version, and the digest of the service's template
 //! [`RunConfig`](pipedepth_experiments::sweep::RunConfig) — a snapshot
-//! from a different build
-//! or service configuration degrades to a cold start, never to a wrong
-//! answer. Records carry the full spec, so a warm hit still resolves by
-//! `PartialEq` exactly as an in-memory hit does.
+//! from a different build or service configuration degrades to a cold
+//! start, never to a wrong answer. Records carry the full spec, so a warm
+//! hit still resolves by `PartialEq` exactly as an in-memory hit does.
 //!
 //! Publishing is write-behind and periodic: the dispatch loop snapshots
 //! the memory tier every [`crate::service`]-chosen insert threshold and
-//! hands encoding plus the atomic temp-file-and-rename publish to the
-//! store's [`Flusher`](pipedepth_store::Flusher) worker. At graceful
-//! shutdown the server takes one final snapshot and
-//! [`OutcomeStore::sync`](crate::store::OutcomeStore::sync)s the
-//! backlog to disk before
-//! printing its stats line, so a drained server is always restartable
-//! from its last answered state.
+//! hands it to the namespace's flusher. At graceful shutdown the server
+//! takes one final snapshot and syncs the backlog to disk before printing
+//! its stats line, so a drained server is always restartable from its
+//! last answered state. Everything but the warm-image load is the
+//! namespace's own API, reached through `Deref`.
 
-use pipedepth_core::eval::{CacheStats, CellSpec, EvalOutcome, ShardedCache};
+use pipedepth_core::eval::{CellSpec, EvalOutcome, ShardedCache};
 use pipedepth_experiments::manifest::config_digest;
 use pipedepth_experiments::sweep::RunConfig;
-use pipedepth_store::{
-    load_records, publish_records, Blob, ByteReader, ByteWriter, DecodeError, Flusher, LoadOutcome,
-    NamespaceSpec,
-};
-use pipedepth_telemetry::{Stopwatch, Telemetry, DEFAULT_TIME_BUCKETS_US};
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use pipedepth_store::{Namespace, NamespaceSpec};
+use pipedepth_telemetry::Telemetry;
+use std::ops::Deref;
+use std::path::Path;
 
 /// Record-codec version of the `outcomes` namespace. Bump whenever the
 /// [`CellSpec`] or [`EvalOutcome`] field lists change shape.
@@ -51,45 +43,17 @@ pub const OUTCOMES_SCHEMA: u32 = 1;
 /// different build degrade to a cold start.
 const CODE_VERSION: &str = env!("CARGO_PKG_VERSION");
 
-fn outcome_record(spec: &CellSpec, outcome: &EvalOutcome) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    spec.encode(&mut w);
-    outcome.encode(&mut w);
-    w.into_bytes()
-}
-
-fn decode_outcome_record(bytes: &[u8]) -> Result<(CellSpec, EvalOutcome), DecodeError> {
-    let mut r = ByteReader::new(bytes);
-    let spec = CellSpec::decode(&mut r)?;
-    let outcome = EvalOutcome::decode(&mut r)?;
-    r.finish()?;
-    Ok((spec, outcome))
+/// The namespace's loaded-records counter.
+mod metric_names {
+    /// Outcome records decoded at startup.
+    pub const OUTCOMES_LOADED: &str = "store.outcomes_loaded";
 }
 
 /// The service's persistent outcome store: loads a snapshot at startup,
 /// publishes snapshots write-behind while the server runs.
+#[derive(Debug)]
 pub struct OutcomeStore {
-    dir: PathBuf,
-    digest: u64,
-    telemetry: Telemetry,
-    flusher: Flusher,
-    loaded: u64,
-    invalid: u64,
-    // Flush-side counters live behind `Arc`s because they are incremented
-    // on the flusher thread; readers see them after a `sync`.
-    flushes: Arc<AtomicU64>,
-    records_flushed: Arc<AtomicU64>,
-}
-
-impl std::fmt::Debug for OutcomeStore {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("OutcomeStore")
-            .field("dir", &self.dir)
-            .field("digest", &self.digest)
-            .field("loaded", &self.loaded)
-            .field("invalid", &self.invalid)
-            .finish_non_exhaustive()
-    }
+    outcomes: Namespace<CellSpec, EvalOutcome>,
 }
 
 impl OutcomeStore {
@@ -97,34 +61,14 @@ impl OutcomeStore {
     /// Registers every `store.*` metric the service emits immediately, so
     /// cold and warm servers expose the same `/metrics` name set.
     pub fn open(dir: &Path, run: &RunConfig, telemetry: &Telemetry) -> Self {
-        for name in [
-            "store.hits",
-            "store.misses",
-            "store.outcomes_loaded",
-            "store.invalid",
-            "store.flushes",
-            "store.records_flushed",
-        ] {
-            telemetry.counter(name).add(0);
-        }
-        OutcomeStore {
-            dir: dir.to_path_buf(),
-            digest: config_digest(run),
-            telemetry: telemetry.clone(),
-            flusher: Flusher::new(),
-            loaded: 0,
-            invalid: 0,
-            flushes: Arc::new(AtomicU64::new(0)),
-            records_flushed: Arc::new(AtomicU64::new(0)),
-        }
-    }
-
-    fn spec(&self) -> NamespaceSpec<'_> {
-        NamespaceSpec {
+        let spec = NamespaceSpec {
             name: "outcomes",
             schema_version: OUTCOMES_SCHEMA,
             code_version: CODE_VERSION,
-            config_digest: self.digest,
+            config_digest: config_digest(run),
+        };
+        OutcomeStore {
+            outcomes: Namespace::open(dir, spec, metric_names::OUTCOMES_LOADED, telemetry),
         }
     }
 
@@ -133,112 +77,25 @@ impl OutcomeStore {
     /// yields an empty image — a cold start, never a partial or wrong
     /// one.
     pub fn load(&mut self) -> ShardedCache<CellSpec, EvalOutcome> {
-        let start = Stopwatch::start();
         let warm = ShardedCache::new();
-        match load_records(&self.dir, &self.spec()) {
-            LoadOutcome::Warm(records) => {
-                match records
-                    .iter()
-                    .map(|r| decode_outcome_record(r))
-                    .collect::<Result<Vec<_>, _>>()
-                {
-                    Ok(entries) => {
-                        self.loaded = entries.len() as u64;
-                        self.telemetry
-                            .counter("store.outcomes_loaded")
-                            .add(self.loaded);
-                        for (spec, outcome) in entries {
-                            warm.insert(spec.key(), spec, Arc::new(outcome));
-                        }
-                    }
-                    // A record that passed every checksum but fails the
-                    // codec is version skew the header keys missed.
-                    Err(_) => {
-                        self.invalid += 1;
-                        self.telemetry.counter("store.invalid").inc();
-                    }
-                }
-            }
-            LoadOutcome::Cold(reason) => {
-                if !reason.is_missing() {
-                    self.invalid += 1;
-                    self.telemetry.counter("store.invalid").inc();
-                }
-            }
+        for (spec, outcome) in self.outcomes.load() {
+            warm.insert(spec.key(), spec, outcome);
         }
-        self.telemetry
-            .histogram("store.load_us", &DEFAULT_TIME_BUCKETS_US)
-            .record(start.elapsed_us());
         warm
     }
+}
 
-    /// Outcome records decoded from a valid snapshot at startup.
-    pub fn loaded(&self) -> u64 {
-        self.loaded
-    }
+impl Deref for OutcomeStore {
+    type Target = Namespace<CellSpec, EvalOutcome>;
 
-    /// Namespaces rejected at startup (corruption or version skew; a
-    /// simply missing file does not count).
-    pub fn invalid(&self) -> u64 {
-        self.invalid
-    }
-
-    /// Snapshots published so far (reliable only after [`sync`](Self::sync)).
-    pub fn flushes(&self) -> u64 {
-        self.flushes.load(Ordering::Relaxed)
-    }
-
-    /// Publishes a snapshot of answered cells, write-behind. The entries
-    /// were already snapshotted by the caller (the cache's `entries()`
-    /// drops its shard guards before returning); encoding and the atomic
-    /// publish happen on the flusher thread.
-    pub fn flush(&self, entries: Vec<(CellSpec, Arc<EvalOutcome>)>) {
-        let dir = self.dir.clone();
-        let digest = self.digest;
-        let telemetry = self.telemetry.clone();
-        let flushes = Arc::clone(&self.flushes);
-        let records_flushed = Arc::clone(&self.records_flushed);
-        self.flusher.submit(move || {
-            let start = Stopwatch::start();
-            let records: Vec<Vec<u8>> = entries
-                .iter()
-                .map(|(spec, outcome)| outcome_record(spec, outcome))
-                .collect();
-            let spec = NamespaceSpec {
-                name: "outcomes",
-                schema_version: OUTCOMES_SCHEMA,
-                code_version: CODE_VERSION,
-                config_digest: digest,
-            };
-            if publish_records(&dir, &spec, &records).is_ok() {
-                flushes.fetch_add(1, Ordering::Relaxed);
-                records_flushed.fetch_add(records.len() as u64, Ordering::Relaxed);
-                telemetry.counter("store.flushes").inc();
-                telemetry
-                    .counter("store.records_flushed")
-                    .add(records.len() as u64);
-            }
-            telemetry
-                .histogram("store.flush_us", &DEFAULT_TIME_BUCKETS_US)
-                .record(start.elapsed_us());
-        });
-    }
-
-    /// Records the warm-tier probe counters of the server's lifetime
-    /// (from the tiered cache, at drain time).
-    pub fn record_warm(&self, stats: CacheStats) {
-        self.telemetry.counter("store.hits").add(stats.hits);
-        self.telemetry.counter("store.misses").add(stats.misses);
-    }
-
-    /// Waits until every snapshot submitted so far is durably published.
-    /// Needs only `&self`, so the `Arc`'d service can force durability at
-    /// drain time without exclusive access; the store keeps accepting
-    /// flushes afterwards.
-    pub fn sync(&self) {
-        self.flusher.sync();
+    fn deref(&self) -> &Self::Target {
+        &self.outcomes
     }
 }
+
+// The tests' scratch-directory helper names these through `super::*`.
+#[cfg(test)]
+use std::{path::PathBuf, sync::atomic::Ordering, sync::Arc};
 
 #[cfg(test)]
 mod tests {

@@ -36,9 +36,9 @@ use crate::cache::Hierarchy;
 use crate::config::{CacheConfig, ConfigError, PredictorConfig};
 use crate::predictor::Gshare;
 use crate::stage::reg_slot;
+use pipedepth_store::Fnv64;
 use pipedepth_telemetry::{Counter, Telemetry};
 use pipedepth_trace::isa::{Instruction, OpClass};
-use pipedepth_trace::Fnv64;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -455,6 +455,17 @@ mod tests {
 
     fn sample_trace(n: usize) -> Vec<Instruction> {
         TraceGenerator::new(WorkloadModel::spec_int_like(), 42).take_vec(n)
+    }
+
+    #[test]
+    fn annotation_fingerprint_is_pinned() {
+        // The value every earlier build computed: annotation-store
+        // buckets are keyed by it.
+        let sim = SimConfig::paper(8);
+        assert_eq!(
+            annotation_fingerprint(&sim.cache, &sim.predictor),
+            0xb7da_f88c_6ce1_2365
+        );
     }
 
     #[test]

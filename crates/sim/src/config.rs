@@ -634,12 +634,12 @@ impl SimConfig {
 
     /// Structural content hash of the configuration: every field that
     /// determines simulation behaviour, fed through
-    /// [`pipedepth_trace::hash::Fnv64`] by bit pattern, with no
+    /// [`pipedepth_store::Fnv64`] by bit pattern, with no
     /// intermediate rendering or allocation. Two configs hash equally
     /// exactly when bitwise equal; callers content-addressing by this
     /// value resolve collisions with `PartialEq`.
     pub fn fingerprint(&self) -> u64 {
-        let mut h = pipedepth_trace::hash::Fnv64::new();
+        let mut h = pipedepth_store::Fnv64::new();
         h.write_u32(self.width)
             .write_u32(self.depth)
             .write_f64(self.logic_fo4)
@@ -740,6 +740,12 @@ mod tests {
 
     fn plan_for(depth: u32) -> StagePlan {
         StagePlan::try_for_depth(depth).expect("valid depth")
+    }
+
+    #[test]
+    fn fingerprint_is_pinned() {
+        // The value every earlier build computed: cell keys are built on it.
+        assert_eq!(SimConfig::paper(14).fingerprint(), 0x4e71_19a2_7820_cc71);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! and a spread of pipeline depths, the full `SimReport` — cycle counts,
 //! hazard attribution, per-unit activity, miss rates — must be identical,
 //! instruction for instruction. This is the contract that lets the runner
-//! swap paths freely (`--no-arena`) without perturbing a single figure.
+//! replay arena slices without perturbing a single figure.
 
 use pipedepth_sim::{Engine, SimConfig};
 use pipedepth_trace::{TraceArena, TraceGenerator, WorkloadModel};

@@ -6,7 +6,7 @@
 //! `repro`, a CI job, or a restarted `pipedepth-serve` should warm-start
 //! from the previous run's results instead of re-simulating every cell.
 //! This crate provides the durable tier below the in-memory
-//! `EvalCache`/`ShardedCache` layer, with three guarantees:
+//! `ShardedCache` of `pipedepth-core`, with three guarantees:
 //!
 //! * **Never a wrong answer.** Records carry the full spec (not just its
 //!   hash), every payload is covered by an FNV-1a checksum, the file
@@ -25,38 +25,34 @@
 //!   blocks on I/O; [`Flusher::shutdown`] drains outstanding work at
 //!   process exit.
 //!
+//! Consumers persist through [`Namespace`], the one typed owner of a
+//! `(K, V)` record family: it binds the four-part [`NamespaceSpec`] key,
+//! loads all-or-nothing, publishes write-behind on its own [`Flusher`],
+//! and keeps the load/flush counters and the shared `store.*` telemetry
+//! (the crate's one dependency, `pipedepth-telemetry`, compiled to no-ops
+//! unless a consumer enables capture). The lower layers stay public for
+//! the corruption and version-skew suites.
+//!
 //! The codec layer ([`ByteWriter`] / [`ByteReader`] / [`Blob`]) is shared
 //! with consumer crates, which implement [`Blob`] for their own spec and
-//! value types next to those types' private fields.
-//!
-//! This crate is std-only and deliberately knows nothing about
-//! simulation, telemetry or time: consumers time their own load/flush
-//! paths and bump their own counters from the outcomes reported here.
+//! value types next to those types' private fields. [`Fnv64`] is the
+//! workspace's one FNV-1a: the checksums here and every structural
+//! content key upstream. This is the lowest crate every hashing crate
+//! depends on.
 
 pub mod codec;
 pub mod file;
 pub mod flush;
+pub mod hash;
+pub mod namespace;
 
 pub use codec::{Blob, ByteReader, ByteWriter, DecodeError};
 pub use file::{
     load_records, publish_records, InvalidReason, LoadOutcome, NamespaceSpec, FORMAT_VERSION,
 };
 pub use flush::Flusher;
-
-/// FNV-1a 64-bit hash of a byte slice — the integrity checksum used for
-/// every record payload and for the whole file image.
-///
-/// The same hash family the workspace already uses for content keys
-/// (`Fnv64` in `pipedepth-trace`); duplicated here over raw bytes so this
-/// crate stays dependency-free.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
+pub use hash::{fnv1a, Fnv64};
+pub use namespace::Namespace;
 
 #[cfg(test)]
 mod tests {

@@ -30,9 +30,9 @@
 //! ```
 
 use crate::generator::TraceGenerator;
-use crate::hash::Fnv64;
 use crate::isa::Instruction;
 use crate::model::WorkloadModel;
+use pipedepth_store::Fnv64;
 use pipedepth_telemetry::{Counter, Telemetry};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -222,6 +222,18 @@ impl TraceArena {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn request_key_is_pinned() {
+        // The value every earlier build computed: persisted annotations
+        // are keyed by it.
+        let request = TraceRequest {
+            model: WorkloadModel::spec_int_like(),
+            seed: 7,
+            len: 3_000,
+        };
+        assert_eq!(request.key(), 0x3291_9f05_cb42_f195);
+    }
 
     #[test]
     fn materialises_once_and_shares() {

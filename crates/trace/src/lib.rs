@@ -14,9 +14,8 @@
 //!   replayable against every pipeline depth of a sweep;
 //! * [`arena`] — the content-addressed trace arena: each distinct
 //!   (model, seed, length) stream is materialized once into an
-//!   `Arc<[Instruction]>` and shared by every simulation cell;
-//! * [`hash`] — structural FNV-1a hashing over field bit patterns, the
-//!   content-addressing primitive used by the arena and the sim cache;
+//!   `Arc<[Instruction]>` and shared by every simulation cell, keyed by
+//!   the workspace's one FNV-1a ([`pipedepth_store::Fnv64`]);
 //! * [`stats`] — aggregate trace statistics for validation and reporting;
 //! * [`codec`] — a compact binary trace format (generate once, replay
 //!   anywhere).
@@ -43,14 +42,12 @@ pub mod arena;
 pub mod blob;
 pub mod codec;
 pub mod generator;
-pub mod hash;
 pub mod isa;
 pub mod model;
 pub mod stats;
 
 pub use arena::{ArenaStats, TraceArena, TraceRequest};
 pub use generator::TraceGenerator;
-pub use hash::Fnv64;
 pub use isa::{BranchInfo, Instruction, MemRef, OpClass, Reg};
 pub use model::{fingerprint_memo_hits, BranchModel, InstructionMix, MemoryModel, WorkloadModel};
 pub use stats::TraceStats;

@@ -381,7 +381,7 @@ impl WorkloadModel {
     }
 
     /// Structural content hash of the model: FNV-1a over every field's bit
-    /// pattern (see [`crate::hash::Fnv64`]). Two models fingerprint equally
+    /// pattern (see [`pipedepth_store::Fnv64`]). Two models fingerprint equally
     /// exactly when all fields are bitwise equal, so the fingerprint can
     /// key content-addressed stores (the trace arena, the simulation
     /// cache) without rendering the model to a string. Collisions must
@@ -420,7 +420,7 @@ impl WorkloadModel {
     /// The full field walk behind [`WorkloadModel::fingerprint`], always
     /// recomputed (the memoized path must agree with this by definition).
     pub fn fingerprint_uncached(&self) -> u64 {
-        let mut h = crate::hash::Fnv64::new();
+        let mut h = pipedepth_store::Fnv64::new();
         for (_, frac) in self.mix.fractions() {
             h.write_f64(frac);
         }
@@ -430,7 +430,7 @@ impl WorkloadModel {
             .write_f64(self.branches.biased_fraction)
             .write_f64(self.branches.bias)
             .write_u64(self.branches.code_footprint);
-        let mem = |h: &mut crate::hash::Fnv64, m: &MemoryModel| {
+        let mem = |h: &mut pipedepth_store::Fnv64, m: &MemoryModel| {
             h.write_u64(m.working_set)
                 .write_f64(m.spatial_locality)
                 .write_u64(m.stride)
@@ -471,6 +471,16 @@ pub fn fingerprint_memo_hits() -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fingerprint_is_pinned() {
+        // The values every earlier build computed, with and without the
+        // optional phase model: cell and trace keys are built on them.
+        let plain = WorkloadModel::spec_int_like();
+        assert_eq!(plain.fingerprint(), 0xc11e_1381_52f9_f61e);
+        let phased = plain.with_phases(PhaseModel::new(1_000, MemoryModel::cache_hostile()));
+        assert_eq!(phased.fingerprint(), 0x5efa_4268_14dd_b095);
+    }
 
     #[test]
     fn preset_mixes_are_valid() {
